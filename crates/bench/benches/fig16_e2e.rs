@@ -11,11 +11,11 @@ use zipserv_serve::workload::Workload;
 
 fn bench(c: &mut Criterion) {
     println!("{}", figures::fig16());
-    let engine = ServingEngine::new(
-        EngineKind::ZipServ,
-        LlmModel::Llama31_8b,
-        GpuCluster::single(Gpu::Rtx4090),
-    );
+    let engine = ServingEngine::builder()
+        .kind(EngineKind::ZipServ)
+        .model(LlmModel::Llama31_8b)
+        .cluster(GpuCluster::single(Gpu::Rtx4090))
+        .build();
     let w = Workload::new(32, 512, 2048);
     c.bench_function("fig16/serve_llama8b_bs32_out2048", |b| {
         b.iter(|| black_box(&engine).serve(w));

@@ -9,11 +9,11 @@ use zipserv_serve::engine::{EngineKind, ServingEngine};
 
 fn bench(c: &mut Criterion) {
     println!("{}", figures::fig17());
-    let engine = ServingEngine::new(
-        EngineKind::ZipServ,
-        LlmModel::Llama31_8b,
-        GpuCluster::single(Gpu::Rtx4090),
-    );
+    let engine = ServingEngine::builder()
+        .kind(EngineKind::ZipServ)
+        .model(LlmModel::Llama31_8b)
+        .cluster(GpuCluster::single(Gpu::Rtx4090))
+        .build();
     c.bench_function("fig17/decode_step", |b| {
         b.iter(|| black_box(&engine).decode_step(32, 1024));
     });

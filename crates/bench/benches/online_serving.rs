@@ -6,18 +6,18 @@ use zipserv_gpu_sim::device::Gpu;
 use zipserv_kernels::shapes::LlmModel;
 use zipserv_serve::cluster::GpuCluster;
 use zipserv_serve::engine::{EngineKind, ServingEngine};
-use zipserv_serve::scheduler::{poisson_arrivals, ContinuousBatcher};
+use zipserv_serve::scheduler::poisson_arrivals;
 
 fn bench(c: &mut Criterion) {
     println!("{}", figures::online());
-    let engine = ServingEngine::new(
-        EngineKind::ZipServ,
-        LlmModel::Llama31_8b,
-        GpuCluster::single(Gpu::Rtx4090),
-    );
+    let engine = ServingEngine::builder()
+        .kind(EngineKind::ZipServ)
+        .model(LlmModel::Llama31_8b)
+        .cluster(GpuCluster::single(Gpu::Rtx4090))
+        .build();
     let arrivals = poisson_arrivals(6.0, 40, 512, 128, 3);
     c.bench_function("online/continuous_batching_40reqs", |b| {
-        b.iter(|| ContinuousBatcher::new(black_box(&engine)).run(arrivals.clone()));
+        b.iter(|| black_box(&engine).serve_online(arrivals.clone()));
     });
 }
 

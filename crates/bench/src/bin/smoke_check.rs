@@ -22,6 +22,11 @@ use std::process::ExitCode;
 /// Relative drift allowed before a ratio counts as a regression.
 const TOLERANCE: f64 = 0.25;
 
+/// Ceiling on `FIG_SIMSCALE ratio_1m_320`, the simulator's cost per
+/// request at 1M requests over that at 320: a fixed bound, not a drift
+/// band, since host cost per request must simply stay flat in trace length.
+const SIMSCALE_CEILING: f64 = 2.0;
+
 /// Parses `id    12345.6 ns/iter ...` bench lines into `id -> mean_ns`.
 fn parse_bench_log(log: &str) -> HashMap<String, f64> {
     let mut out = HashMap::new();
@@ -43,8 +48,8 @@ fn parse_bench_log(log: &str) -> HashMap<String, f64> {
 /// Parses a machine-readable `<PREFIX> k1=<x> k2=<y>` line (the
 /// `FIG_TP_SCALING` line from the fig_tp bench, the `FIG_FAULT` line from
 /// fig_fault, the `FIG_PIPELINE` line from fig_pipeline, the `FIG_FLEET`
-/// line from fig_fleet, the `FIG_PREFIX` line from fig_prefix) into its
-/// key/value pairs.
+/// line from fig_fleet, the `FIG_PREFIX` line from fig_prefix, the
+/// `FIG_SIMSCALE` line from fig_simscale) into its key/value pairs.
 fn parse_kv_line(log: &str, prefix: &str) -> HashMap<String, f64> {
     let mut out = HashMap::new();
     for line in log.lines() {
@@ -121,6 +126,7 @@ fn main() -> ExitCode {
     let pipeline = parse_kv_line(&log, "FIG_PIPELINE ");
     let fleet = parse_kv_line(&log, "FIG_FLEET ");
     let prefix = parse_kv_line(&log, "FIG_PREFIX ");
+    let simscale = parse_kv_line(&log, "FIG_SIMSCALE ");
 
     let log_ratio =
         |num: &str, den: &str| -> Option<f64> { Some(means.get(num)? / means.get(den)?) };
@@ -210,6 +216,11 @@ fn main() -> ExitCode {
         }
     }
 
+    let simscale_ratio = simscale.get("ratio_1m_320").copied();
+    if simscale_ratio.is_none() {
+        missing.push("fig_simscale_ratio_1m_320");
+    }
+
     if !missing.is_empty() {
         eprintln!(
             "smoke_check: missing data for {missing:?} (bench not run or baseline entry absent)"
@@ -233,15 +244,25 @@ fn main() -> ExitCode {
             100.0 * c.drift()
         );
     }
+    let simscale = simscale_ratio.unwrap_or(f64::INFINITY);
+    let simscale_ok = simscale <= SIMSCALE_CEILING;
+    failed |= !simscale_ok;
+    println!(
+        "{:<32} {simscale:>9.3} {:>9.1} {:>7}  {}",
+        "fig_simscale_ratio_1m_320",
+        SIMSCALE_CEILING,
+        "ceiling",
+        if simscale_ok { "ok" } else { "REGRESSION" }
+    );
     if failed {
         eprintln!(
-            "smoke_check: ratio drifted more than {:.0}% from baseline",
+            "smoke_check: a ratio drifted more than {:.0}% from baseline or passed its ceiling",
             100.0 * TOLERANCE
         );
         return ExitCode::FAILURE;
     }
     println!(
-        "smoke_check: all {} ratios within {:.0}%",
+        "smoke_check: all {} ratios within {:.0}%, simulator scaling within its ceiling",
         checks.len(),
         100.0 * TOLERANCE
     );

@@ -21,6 +21,16 @@ use zipserv_serve::workload::Workload;
 /// The paper's average compression ratio (§3.1).
 pub const PAPER_CR: f64 = 1.51;
 
+/// `kind` serving `model` on `cluster` under the builder defaults (FCFS,
+/// batch cap 64).
+fn deploy(kind: EngineKind, model: LlmModel, cluster: GpuCluster) -> ServingEngine {
+    ServingEngine::builder()
+        .kind(kind)
+        .model(model)
+        .cluster(cluster)
+        .build()
+}
+
 fn gateup(model: LlmModel, n: u64) -> GemmShape {
     LayerKind::GateUpProj.gemm_shape(model, n)
 }
@@ -429,9 +439,9 @@ pub fn fig16() -> String {
         let mut rows = Vec::new();
         for w in Workload::paper_sweep() {
             let mut row = vec![format!("bs{}", w.batch), w.output_len.to_string()];
-            let zip = ServingEngine::new(EngineKind::ZipServ, model, cluster).serve(w);
+            let zip = deploy(EngineKind::ZipServ, model, cluster).serve(w);
             for kind in EngineKind::ALL {
-                let r = ServingEngine::new(kind, model, cluster).serve(w);
+                let r = deploy(kind, model, cluster).serve(w);
                 row.push(format!("{:.1}s/{:.0}t/s", r.latency_s, r.throughput_tps));
                 match kind {
                     EngineKind::Vllm => speedups[0].push(zip.throughput_tps / r.throughput_tps),
@@ -476,8 +486,8 @@ pub fn fig16() -> String {
 /// RTX4090.
 pub fn fig17() -> String {
     let cluster = GpuCluster::single(Gpu::Rtx4090);
-    let zip = ServingEngine::new(EngineKind::ZipServ, LlmModel::Llama31_8b, cluster);
-    let vllm = ServingEngine::new(EngineKind::Vllm, LlmModel::Llama31_8b, cluster);
+    let zip = deploy(EngineKind::ZipServ, LlmModel::Llama31_8b, cluster);
+    let vllm = deploy(EngineKind::Vllm, LlmModel::Llama31_8b, cluster);
     let zs = zip.decode_step(32, 1024);
     let vs = vllm.decode_step(32, 1024);
     let gb = 1024.0 * 1024.0 * 1024.0;
@@ -618,13 +628,12 @@ pub fn ablation() -> String {
 /// Online continuous-batching comparison (the production-serving view of
 /// Figure 16's KV-capacity mechanism).
 pub fn online() -> String {
-    use zipserv_serve::scheduler::{poisson_arrivals, ContinuousBatcher};
+    use zipserv_serve::scheduler::poisson_arrivals;
     let cluster = GpuCluster::single(Gpu::Rtx4090);
     let arrivals = poisson_arrivals(8.0, 80, 1024, 256, 17);
     let mut rows = Vec::new();
     for kind in [EngineKind::ZipServ, EngineKind::Vllm] {
-        let engine = ServingEngine::new(kind, LlmModel::Llama31_8b, cluster);
-        let report = ContinuousBatcher::new(&engine).run(arrivals.clone());
+        let report = deploy(kind, LlmModel::Llama31_8b, cluster).serve_online(arrivals.clone());
         rows.push(vec![
             kind.name().to_string(),
             f2(report.throughput_tps),
@@ -928,8 +937,8 @@ pub fn kv_compression() -> String {
 /// stream-overlapped double buffering, against the dense (vLLM) floor.
 pub fn prefill_overlap() -> String {
     let cluster = GpuCluster::single(Gpu::Rtx4090);
-    let zip = ServingEngine::new(EngineKind::ZipServ, LlmModel::Llama31_8b, cluster);
-    let vllm = ServingEngine::new(EngineKind::Vllm, LlmModel::Llama31_8b, cluster);
+    let zip = deploy(EngineKind::ZipServ, LlmModel::Llama31_8b, cluster);
+    let vllm = deploy(EngineKind::Vllm, LlmModel::Llama31_8b, cluster);
     let mut rows = Vec::new();
     for (batch, prompt) in [(8u64, 512u64), (8, 2048), (32, 1024)] {
         let floor = vllm.prefill_ms(batch, prompt);

@@ -485,29 +485,9 @@ impl Clone for ServingEngine {
 }
 
 impl ServingEngine {
-    /// Starts a fluent [`EngineBuilder`] — the preferred constructor, and
-    /// the only way to attach a non-FCFS [`SchedulePolicy`].
+    /// Starts a fluent [`EngineBuilder`], the engine's one constructor.
     pub fn builder() -> EngineBuilder {
         EngineBuilder::default()
-    }
-
-    /// Deploys `model` on `cluster` under `kind` with the default FCFS
-    /// policy.
-    ///
-    /// Superseded by [`ServingEngine::builder`], which also configures the
-    /// scheduling policy and batch cap; this positional form is kept as a
-    /// thin shim for existing callers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model does not fit the cluster (see
-    /// [`MemoryPlan::plan`]).
-    pub fn new(kind: EngineKind, model: LlmModel, cluster: GpuCluster) -> Self {
-        ServingEngine::builder()
-            .kind(kind)
-            .model(model)
-            .cluster(cluster)
-            .build()
     }
 
     /// The engine kind.
@@ -581,9 +561,8 @@ impl ServingEngine {
     }
 
     /// Runs an online arrival trace to completion under this engine's
-    /// scheduling policy — the builder-era replacement for
-    /// `ContinuousBatcher::new(&engine).run(arrivals)`. Consumes the
-    /// engine's [`FaultPlan`] (a no-op when empty: bit-identical reports).
+    /// scheduling policy and batch cap. Consumes the engine's
+    /// [`FaultPlan`] (a no-op when empty: bit-identical reports).
     pub fn serve_online(&self, arrivals: Vec<Request>) -> ScheduleReport {
         run_policy_faulted(
             self,
@@ -1095,8 +1074,16 @@ mod tests {
     use super::*;
     use zipserv_gpu_sim::device::Gpu;
 
+    fn deploy(kind: EngineKind, model: LlmModel, cluster: GpuCluster) -> ServingEngine {
+        ServingEngine::builder()
+            .kind(kind)
+            .model(model)
+            .cluster(cluster)
+            .build()
+    }
+
     fn llama8b(kind: EngineKind) -> ServingEngine {
-        ServingEngine::new(kind, LlmModel::Llama31_8b, GpuCluster::single(Gpu::Rtx4090))
+        deploy(kind, LlmModel::Llama31_8b, GpuCluster::single(Gpu::Rtx4090))
     }
 
     #[test]
@@ -1200,12 +1187,12 @@ mod tests {
     #[test]
     fn tensor_parallel_deployments_work() {
         // Mistral-24B on 2×L40S and LLaMA3.1-70B on 4×L40S (§6.5).
-        let m24 = ServingEngine::new(
+        let m24 = deploy(
             EngineKind::ZipServ,
             LlmModel::Mistral24b,
             GpuCluster::tensor_parallel(Gpu::L40s, 2),
         );
-        let l70 = ServingEngine::new(
+        let l70 = deploy(
             EngineKind::ZipServ,
             LlmModel::Llama31_70b,
             GpuCluster::tensor_parallel(Gpu::L40s, 4),
@@ -1225,8 +1212,8 @@ mod tests {
         let w = Workload::new(32, 512, 512);
         for (model, tp) in [(LlmModel::Mistral24b, 2u32), (LlmModel::Llama31_70b, 4)] {
             let cluster = GpuCluster::tensor_parallel(Gpu::L40s, tp);
-            let zip = ServingEngine::new(EngineKind::ZipServ, model, cluster).serve(w);
-            let vllm = ServingEngine::new(EngineKind::Vllm, model, cluster).serve(w);
+            let zip = deploy(EngineKind::ZipServ, model, cluster).serve(w);
+            let vllm = deploy(EngineKind::Vllm, model, cluster).serve(w);
             let s = zip.throughput_tps / vllm.throughput_tps;
             assert!(s > 1.05 && s < 1.9, "{model}: {s}");
         }

@@ -270,6 +270,8 @@ pub enum RejectReason {
     /// The policy held admission on an idle engine with nothing left to
     /// wake it (previously a panic; now a typed rejection).
     PolicyHold,
+    /// The request itself is malformed: its arrival time is not finite.
+    InvalidRequest,
 }
 
 impl RejectReason {
@@ -281,6 +283,7 @@ impl RejectReason {
             RejectReason::BrownoutShed => "brownout-shed",
             RejectReason::CapacityLost => "capacity-lost",
             RejectReason::PolicyHold => "policy-hold",
+            RejectReason::InvalidRequest => "invalid-request",
         }
     }
 }

@@ -39,7 +39,7 @@ use crate::kvcache::{KvShards, PrefixStats};
 use crate::metrics;
 use crate::parallel::PipelineKind;
 use crate::policy::PriorityClass;
-use crate::scheduler::{Completion, Request, ScheduleReport, UniformStream};
+use crate::scheduler::{lifetime_tokens, Completion, Request, ScheduleReport, UniformStream};
 
 /// Worst-case per-request prompt length (tokens) assumed by the router's
 /// 1F1B activation-ceiling admission check — the paper mix's Batch class.
@@ -626,13 +626,30 @@ impl FleetRouter {
     ///
     /// `arrivals` must be sorted by `arrival_s` (as produced by
     /// `ArrivalMix::generate` and `poisson_arrivals`); the router's clock
-    /// never runs backwards regardless.
+    /// never runs backwards regardless. A request with a non-finite
+    /// arrival is rejected as [`RejectReason::InvalidRequest`], and one
+    /// whose `prompt_len + output_len` overflows as
+    /// [`RejectReason::Oversized`], before it is routed.
     pub fn run(mut self, arrivals: Vec<Request>) -> FleetReport {
         let route_policy = self.policy.name().to_string();
         let mut rejections = Vec::new();
         let mut autoscale_events = Vec::new();
         let mut now = 0.0f64;
         for req in arrivals {
+            // Malformed requests never reach the routing books or a
+            // replica: a non-finite arrival would poison the router clock,
+            // and an overflowing token sum can fit nowhere.
+            let malformed = if !req.arrival_s.is_finite() {
+                Some(RejectReason::InvalidRequest)
+            } else {
+                lifetime_tokens(&req)
+                    .is_none()
+                    .then_some(RejectReason::Oversized)
+            };
+            if let Some(reason) = malformed {
+                rejections.push(Rejection { id: req.id, reason });
+                continue;
+            }
             now = now.max(req.arrival_s);
             for r in &mut self.replicas {
                 r.settle(now);

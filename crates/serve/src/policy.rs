@@ -9,7 +9,7 @@
 //! Four policies ship in-tree:
 //!
 //! * [`Fcfs`] — first-come-first-served, bit-compatible with the legacy
-//!   [`crate::scheduler::ContinuousBatcher`];
+//!   FCFS loop, [`crate::scheduler::run_reference`];
 //! * [`Priority`] — strict priority tiers with starvation aging;
 //! * [`SloEdf`] — earliest-deadline-first against per-request TTFT SLOs;
 //! * [`PreemptiveSjf`] — shortest-remaining-output-first with KV-cache-aware
@@ -269,8 +269,8 @@ impl Clone for Box<dyn SchedulePolicy> {
 
 /// First-come-first-served admission, no preemption.
 ///
-/// Under this policy the generic loop reproduces the legacy
-/// [`crate::scheduler::ContinuousBatcher`] *bit for bit* (verified by the
+/// Under this policy the generic loop reproduces the legacy FCFS loop,
+/// [`crate::scheduler::run_reference`], *bit for bit* (verified by the
 /// `schedule_policies` proptest suite): the head of the arrival-ordered
 /// queue is the only admission candidate — including ties, which keep the
 /// legacy stable-sort submission order — so a head request that does not

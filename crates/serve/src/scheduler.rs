@@ -7,11 +7,17 @@
 //! exactly where ZipServ's freed weight memory turns into admission
 //! headroom and lower queueing delay.
 //!
+//! One replica's state lives in a crate-private `ReplicaSim`: a cursor
+//! into the arrival-sorted trace, a queue of arrived (or re-queued)
+//! requests only, the running batch, and the fault, streaming-admission
+//! and prefix-cache books. [`run_policy_faulted`] drives it round by round,
+//! so host cost per request stays flat in trace length; [`run_policy`] and
+//! [`ServingEngine::serve_online`](crate::engine::ServingEngine::serve_online)
+//! are the same run with an empty plan or the engine's own configuration.
+//! [`run_reference`] keeps the frozen pre-policy FCFS loop as an oracle.
+//!
 //! Admission order and preemption are delegated to a pluggable
-//! [`SchedulePolicy`](crate::policy::SchedulePolicy); see [`crate::policy`]
-//! for the four in-tree policies and
-//! [`ServingEngine::builder`](crate::engine::ServingEngine::builder) for the
-//! fluent way to wire one up.
+//! [`SchedulePolicy`]; see [`crate::policy`] for the four in-tree policies.
 
 use crate::engine::ServingEngine;
 use crate::fault::{
@@ -23,6 +29,8 @@ use crate::policy::{
     Fcfs, PreemptionMode, PriorityClass, QueuedRequest, RunningRequest, SchedulePolicy, Slo,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::iter::Peekable;
+use std::vec;
 
 pub use crate::policy::MAX_PREEMPTIONS;
 
@@ -139,8 +147,8 @@ pub struct ScheduleReport {
     /// Decode-side communication time charged across the run (s): the
     /// tensor-parallel all-reduce plus pipeline activation-hop share of
     /// every decode step the scheduler billed. Zero on single-GPU
-    /// deployments; the legacy [`ContinuousBatcher::run_reference`] shim
-    /// predates comm accounting and always reports zero.
+    /// deployments; the legacy [`run_reference`] oracle predates comm
+    /// accounting and always reports zero.
     pub comm_s: f64,
     /// Total preemptions across the run.
     pub preemptions: u64,
@@ -355,41 +363,6 @@ pub fn poisson_arrivals(
         .collect()
 }
 
-/// Builds the final report shared by the generic and reference loops.
-#[allow(clippy::too_many_arguments)]
-fn finish_report(
-    policy: &str,
-    now: f64,
-    output_tokens: u64,
-    peak_batch: usize,
-    comm_s: f64,
-    preemptions: u64,
-    rejections: Vec<Rejection>,
-    robustness: RobustnessStats,
-    step_cache: StepCacheStats,
-    prefix: PrefixStats,
-    completions: Vec<Completion>,
-) -> ScheduleReport {
-    ScheduleReport {
-        duration_s: now,
-        throughput_tps: if now > 0.0 {
-            output_tokens as f64 / now
-        } else {
-            0.0
-        },
-        peak_batch,
-        comm_s,
-        preemptions,
-        rejected: rejections.iter().map(|r| r.id).collect(),
-        rejections,
-        robustness,
-        step_cache,
-        prefix,
-        policy: policy.to_string(),
-        completions,
-    }
-}
-
 /// Turns a finished in-flight record into a completion at time `now`.
 fn complete(f: &RunningRequest, now: f64) -> Completion {
     // A finished request always produced at least one token; fall back to
@@ -413,6 +386,21 @@ fn complete(f: &RunningRequest, now: f64) -> Completion {
     }
 }
 
+/// A request's whole-lifetime KV demand (`prompt + output` tokens), or
+/// `None` when the sum overflows — such a request can never fit.
+pub(crate) fn lifetime_tokens(req: &Request) -> Option<u64> {
+    req.prompt_len.checked_add(req.output_len)
+}
+
+/// Output tokens per second over a run of `duration_s`.
+fn throughput(output_tokens: u64, duration_s: f64) -> f64 {
+    if duration_s > 0.0 {
+        output_tokens as f64 / duration_s
+    } else {
+        0.0
+    }
+}
+
 /// Runs an arrival trace to completion under an arbitrary policy.
 ///
 /// This is the policy-generic continuous-batching loop:
@@ -432,11 +420,11 @@ fn complete(f: &RunningRequest, now: f64) -> Completion {
 ///
 /// A request whose KV demand exceeds the deployment's capacity even as the
 /// sole occupant is reported in [`ScheduleReport::rejected`] rather than
-/// looping forever.
+/// looping forever, and so is one whose arrival time is not finite.
 ///
 /// Under [`Fcfs`] this loop is bit-compatible with the legacy
-/// [`ContinuousBatcher::run_reference`] on arrival-sorted traces (verified
-/// by proptest in the `schedule_policies` suite).
+/// [`run_reference`] on arrival-sorted traces (verified by proptest in the
+/// `schedule_policies` suite).
 pub fn run_policy(
     engine: &ServingEngine,
     policy: &dyn SchedulePolicy,
@@ -453,199 +441,13 @@ pub fn run_policy(
     )
 }
 
-/// Everything streaming admission tracks while the scheduler loop runs
-/// (chunked-prefill mode only — `None` on the legacy path): the live
-/// per-rank KV shards that gate admission page-by-page, plus the
-/// per-request prefill chunk cost.
-struct StreamBooks {
-    /// One paged allocator per rank of the `tp × pp` grid. Admission
-    /// reserves a request's whole-lifetime KV (`prompt + output`) on every
-    /// alive rank up front, so one exhausted fat rank stalls intake
-    /// mid-run even when the aggregate capacity would fit.
-    shards: KvShards,
-    /// Per-resident cost of one prefill chunk, in seconds (whole prefill
-    /// cost at admission time — including any degraded-compute slowdown —
-    /// divided by `n_chunks`). Entries live exactly as long as the
-    /// reservation.
-    chunk_cost: HashMap<u64, f64>,
-    /// Chunks a fresh prefill is split into: one per pipeline stage.
-    n_chunks: u32,
-}
-
-impl StreamBooks {
-    /// Tries to reserve `cand`'s whole-lifetime KV on every alive rank.
-    /// The append is atomic across ranks; on refusal (some rank is out of
-    /// pages) the registration is rolled back so nothing leaks.
-    fn try_reserve(&mut self, cand: &QueuedRequest) -> bool {
-        let id = cand.req.id;
-        self.shards.register(id);
-        match self
-            .shards
-            .append(id, cand.req.prompt_len + cand.req.output_len)
-        {
-            Ok(()) => true,
-            Err(_) => {
-                let _ = self.shards.release(id);
-                false
-            }
-        }
-    }
-
-    /// Hands back a resident's reservation (completion, preemption,
-    /// fault victimization) and drops its chunk bookkeeping.
-    fn unreserve(&mut self, id: u64) {
-        let _ = self.shards.release(id);
-        self.chunk_cost.remove(&id);
-    }
-}
-
-/// Everything the fault machinery mutates while the scheduler loop runs —
-/// threaded as one bundle so the event applicator and the admission loop
-/// see the same books.
-struct FaultBooks {
-    state: FaultState,
-    rob: RobustnessStats,
-    /// Ids victimized by a failure and not yet re-served or rejected.
-    victims_outstanding: HashSet<u64>,
-    /// When the oldest still-open recovery window opened.
-    recover_started: Option<f64>,
-}
-
-impl FaultBooks {
-    /// A victim id got re-served or rejected; when the last one resolves,
-    /// the time-to-recover window closes.
-    fn resolve_victim(&mut self, id: u64, now: f64) {
-        if self.victims_outstanding.remove(&id) && self.victims_outstanding.is_empty() {
-            if let Some(t0) = self.recover_started.take() {
-                self.rob.time_to_recover_s += now - t0;
-                self.rob.recoveries += 1;
-            }
-        }
-    }
-}
-
-/// Applies every fault event due at or before `now` (plus link-window
-/// expiry), mutating time, the pending/running queues and the robustness
-/// books. Called at the top of each scheduler round and after every time
-/// jump, so no event is skipped over.
-#[allow(clippy::too_many_arguments)]
-fn apply_due_faults(
-    events: &[FaultEvent],
-    next_event: &mut usize,
-    books: &mut FaultBooks,
-    stream: &mut Option<StreamBooks>,
-    registry: &mut Option<PrefixRegistry>,
-    retry: &RetryPolicy,
-    engine: &ServingEngine,
-    now: &mut f64,
-    pending: &mut Vec<QueuedRequest>,
-    running: &mut Vec<RunningRequest>,
-    rejections: &mut Vec<Rejection>,
-) {
-    // Link windows expire by time, not by a plan event.
-    if books.state.link_factor != 1.0 && *now >= books.state.link_until {
-        books.state.link_factor = 1.0;
-    }
-    while *next_event < events.len() && events[*next_event].at_s <= *now {
-        let ev = events[*next_event];
-        *next_event += 1;
-        books.rob.faults_injected += 1;
-        match ev.kind {
-            FaultKind::RankFail { rank } => {
-                let rank = rank % books.state.total_ranks;
-                if !books.state.dead.insert(rank) {
-                    continue; // already dead
-                }
-                if books.state.dead.len() == 1 {
-                    books.state.degraded_since = *now;
-                }
-                books.rob.rank_failures += 1;
-                if let Some(s) = stream.as_mut() {
-                    s.shards.invalidate_rank(rank);
-                }
-                if let Some(reg) = registry.as_mut() {
-                    reg.invalidate_rank(rank);
-                }
-                // KV shards mirror every sequence across all ranks, so one
-                // dead rank invalidates the whole batch's KV: every running
-                // request is victimized for recompute-prefill (bounded by
-                // the retry cap), never silently continued on garbage.
-                for victim in running.drain(..) {
-                    if let Some(s) = stream.as_mut() {
-                        s.unreserve(victim.req.id);
-                    }
-                    let retries = victim.retries + 1;
-                    if retries > retry.max_retries {
-                        rejections.push(Rejection {
-                            id: victim.req.id,
-                            reason: RejectReason::RetriesExhausted,
-                        });
-                        if let Some(reg) = registry.as_mut() {
-                            reg.release(victim.req.id);
-                        }
-                        books.resolve_victim(victim.req.id, *now);
-                        continue;
-                    }
-                    books.rob.retries += 1;
-                    books.victims_outstanding.insert(victim.req.id);
-                    let back = QueuedRequest {
-                        req: victim.req,
-                        resume_generated: victim.generated,
-                        preemptions: victim.preemptions,
-                        first_admitted_s: Some(victim.first_admitted_s),
-                        first_token_s: victim.first_token_s,
-                        retries,
-                        not_before_s: *now + retry.delay_s(retries),
-                    };
-                    let pos = pending.partition_point(|p| p.req.arrival_s <= back.req.arrival_s);
-                    pending.insert(pos, back);
-                }
-                if !books.victims_outstanding.is_empty() && books.recover_started.is_none() {
-                    books.recover_started = Some(*now);
-                }
-            }
-            FaultKind::RankRepair { rank } => {
-                let rank = rank % books.state.total_ranks;
-                if let Some(s) = stream.as_mut() {
-                    s.shards.repair_rank(rank);
-                }
-                if let Some(reg) = registry.as_mut() {
-                    reg.repair_rank(rank);
-                }
-                if books.state.dead.remove(&rank) && books.state.dead.is_empty() {
-                    books.rob.downtime_s += *now - books.state.degraded_since;
-                }
-            }
-            FaultKind::LinkDegrade { factor, duration_s } => {
-                books.state.link_factor = factor.max(1.0);
-                books.state.link_until = *now + duration_s;
-                books.rob.link_degrades += 1;
-            }
-            FaultKind::KvStall { stall_s } => {
-                *now += stall_s;
-                books.rob.stall_s += stall_s;
-            }
-            FaultKind::CorruptFrame { frames } => {
-                // The entropy codecs' checksums surface corruption as a
-                // typed error before garbage reaches the ZipGEMM path; the
-                // recovery cost is one PCIe re-fetch per frame.
-                let penalty = frames as f64 * engine.frame_refetch_s();
-                *now += penalty;
-                books.rob.frame_corruptions += frames as u64;
-                books.rob.refetch_s += penalty;
-            }
-        }
-    }
-}
-
 /// [`run_policy`] with deterministic fault injection and recovery.
 ///
-/// The clean-path guarantee: with an empty [`FaultPlan`] this function
-/// executes *exactly* the arithmetic of the pre-fault loop — every fault
-/// branch is behind a `plan.is_empty()` check, capacity scaling is
-/// integer, and the robustness books stay at their all-zero default — so
-/// reports are bit-identical (pinned by the `fault_recovery` suite across
-/// every in-tree policy).
+/// An empty [`FaultPlan`] is the fault-free loop: every fault branch is a
+/// no-op without events, capacity scaling is integer, and the robustness
+/// books stay at their all-zero default, so reports are bit-identical to
+/// [`run_policy`] (pinned by the `fault_recovery` suite across every
+/// in-tree policy).
 ///
 /// With a non-empty plan, events apply between scheduler rounds:
 ///
@@ -670,568 +472,783 @@ pub fn run_policy_faulted(
     engine: &ServingEngine,
     policy: &dyn SchedulePolicy,
     max_batch: usize,
-    mut arrivals: Vec<Request>,
+    arrivals: Vec<Request>,
     plan: &FaultPlan,
     retry: &RetryPolicy,
 ) -> ScheduleReport {
-    arrivals.sort_by(|a, b| a.arrival_s.partial_cmp(&b.arrival_s).expect("finite"));
-    let capacity = engine.kv_capacity_tokens();
-    let clean = plan.is_empty();
-    let events = plan.events();
-    let mut next_event = 0usize;
-    let mut books = FaultBooks {
-        state: FaultState::new(engine.cluster().total_ranks()),
-        rob: RobustnessStats::default(),
-        victims_outstanding: HashSet::new(),
-        recover_started: None,
-    };
-    // Chunked-prefill mode (default at pp ≥ 2, or forced via
-    // `EngineBuilder::chunked_prefill`): fresh prefills stream through the
-    // pipeline in per-stage chunks between decode steps, and admission is
-    // gated by the *live* per-rank KV shards instead of the scalar
-    // capacity alone. `None` pins the legacy whole-prefill arithmetic
-    // bit-for-bit.
-    let mut stream: Option<StreamBooks> = if engine.chunked_prefill() {
-        Some(StreamBooks {
+    let mut sim = ReplicaSim::new(engine, policy, max_batch, arrivals, plan, retry);
+    while sim.round() {}
+    sim.finish()
+}
+
+/// What streaming admission (chunked-prefill mode) tracks: the live
+/// per-rank KV shards that gate admission page-by-page, plus the
+/// per-request prefill chunk cost.
+struct StreamBooks {
+    /// One paged allocator per rank of the `tp × pp` grid. Admission
+    /// reserves a request's whole-lifetime KV on every alive rank up
+    /// front, so one exhausted fat rank stalls intake even when the
+    /// aggregate capacity would fit.
+    shards: KvShards,
+    /// Per-resident cost of one prefill chunk in seconds (the whole
+    /// prefill cost at admission divided by `n_chunks`), kept exactly as
+    /// long as the reservation.
+    chunk_cost: HashMap<u64, f64>,
+    /// Chunks a fresh prefill is split into: one per pipeline stage.
+    n_chunks: u32,
+}
+
+impl StreamBooks {
+    /// Tries to reserve `cand`'s whole-lifetime KV on every alive rank.
+    /// The append is atomic across ranks; on refusal (some rank is out of
+    /// pages) the registration is rolled back so nothing leaks.
+    fn try_reserve(&mut self, cand: &QueuedRequest) -> bool {
+        let id = cand.req.id;
+        self.shards.register(id);
+        let appended = lifetime_tokens(&cand.req).map(|t| self.shards.append(id, t));
+        if let Some(Ok(())) = appended {
+            return true;
+        }
+        let _ = self.shards.release(id);
+        false
+    }
+
+    /// Hands back a resident's reservation (completion, preemption,
+    /// fault victimization) and drops its chunk bookkeeping.
+    fn unreserve(&mut self, id: u64) {
+        let _ = self.shards.release(id);
+        self.chunk_cost.remove(&id);
+    }
+}
+
+/// Everything the fault machinery mutates while the scheduler runs.
+struct FaultBooks {
+    state: FaultState,
+    rob: RobustnessStats,
+    /// Ids victimized by a failure and not yet re-served or rejected.
+    victims_outstanding: HashSet<u64>,
+    /// When the oldest still-open recovery window opened.
+    recover_started: Option<f64>,
+}
+
+impl FaultBooks {
+    /// A victim id got re-served or rejected; when the last one resolves,
+    /// the time-to-recover window closes.
+    fn resolve_victim(&mut self, id: u64, now: f64) {
+        if self.victims_outstanding.remove(&id) && self.victims_outstanding.is_empty() {
+            if let Some(t0) = self.recover_started.take() {
+                self.rob.time_to_recover_s += now - t0;
+                self.rob.recoveries += 1;
+            }
+        }
+    }
+}
+
+/// One replica's continuous-batching state. The queue never holds a
+/// request that has not arrived: arrivals move from the trace into the
+/// queue as the clock passes them, so admission costs scale with the
+/// backlog, not with the length of the trace.
+struct ReplicaSim<'a> {
+    engine: &'a ServingEngine,
+    policy: &'a dyn SchedulePolicy,
+    retry: &'a RetryPolicy,
+    max_batch: usize,
+    /// Full (healthy) KV capacity in tokens.
+    capacity: u64,
+    /// The fault plan's time-sorted events and the next one to apply.
+    events: &'a [FaultEvent],
+    next_event: usize,
+    faults: FaultBooks,
+    /// Chunked-prefill mode (`EngineBuilder::chunked_prefill`, default at
+    /// pp ≥ 2): fresh prefills stream through the stages in chunks between
+    /// decode steps, and the live KV shards gate admission too.
+    stream: Option<StreamBooks>,
+    /// Prefix caching (`EngineBuilder::prefix_caching`): hits fork a cached
+    /// prefix copy-on-write, so admission prefills only the suffix.
+    registry: Option<PrefixRegistry>,
+    /// Requests that have not arrived yet, in arrival order.
+    trace: Peekable<vec::IntoIter<Request>>,
+    /// Arrived and re-queued requests, sorted by arrival time (stable:
+    /// ties keep submission order, re-queued requests re-enter by their
+    /// original arrival).
+    queue: Vec<QueuedRequest>,
+    running: Vec<RunningRequest>,
+    completions: Vec<Completion>,
+    rejections: Vec<Rejection>,
+    now: f64,
+    peak_batch: usize,
+    output_tokens: u64,
+    preemptions: u64,
+    comm_s: f64,
+    /// (total ms, comm ms) per (`engine.step_cache_key(batch)`, context
+    /// bucket). Fault-independent: degradation scales the pair after the
+    /// lookup, so the key needs no fault epoch.
+    step_cache: HashMap<(u64, u64), (f64, f64)>,
+    cache_stats: StepCacheStats,
+}
+
+impl<'a> ReplicaSim<'a> {
+    /// Sets up a run. Requests whose arrival time is not finite are
+    /// rejected as [`RejectReason::InvalidRequest`] here, before the
+    /// trace is sorted; the rest are served in arrival order.
+    fn new(
+        engine: &'a ServingEngine,
+        policy: &'a dyn SchedulePolicy,
+        max_batch: usize,
+        mut arrivals: Vec<Request>,
+        plan: &'a FaultPlan,
+        retry: &'a RetryPolicy,
+    ) -> Self {
+        let mut rejections = Vec::new();
+        arrivals.retain(|r| {
+            let valid = r.arrival_s.is_finite();
+            if !valid {
+                rejections.push(Rejection {
+                    id: r.id,
+                    reason: RejectReason::InvalidRequest,
+                });
+            }
+            valid
+        });
+        arrivals.sort_by(|a, b| a.arrival_s.partial_cmp(&b.arrival_s).expect("finite"));
+        let stream = engine.chunked_prefill().then(|| StreamBooks {
             shards: engine.kv_shards(),
             chunk_cost: HashMap::new(),
             n_chunks: engine.cluster().pp().max(1),
-        })
-    } else {
-        None
-    };
-    // Prefix caching (opt-in via `EngineBuilder::prefix_caching`): the
-    // registry interns shared-prefix hashes on its own overlay shards and
-    // forks them copy-on-write on hit, so admission charges prefill for
-    // the unshared suffix only. `None` — the default — touches no legacy
-    // code path, keeping caching-off runs bit-identical.
-    let mut registry: Option<PrefixRegistry> = if engine.prefix_caching() {
-        Some(PrefixRegistry::new(
-            engine.kv_shards(),
-            policy.prefix_victim(),
-        ))
-    } else {
-        None
-    };
-    let mut pending: Vec<QueuedRequest> = arrivals.into_iter().map(QueuedRequest::fresh).collect();
-    let mut running: Vec<RunningRequest> = Vec::new();
-    let mut completions = Vec::new();
-    let mut rejections: Vec<Rejection> = Vec::new();
-    let mut now = 0.0f64;
-    let mut peak_batch = 0usize;
-    let mut output_tokens = 0u64;
-    let mut preemptions = 0u64;
-    let mut comm_s = 0.0f64;
-    // Step times cached per (step-shape key, context bucket): (total ms,
-    // comm ms). The key is `engine.step_cache_key(batch)` — the raw batch
-    // on single-stage engines, the micro-batch shape on pipelined ones,
-    // where distinct batches collapse onto identical step costs (keying on
-    // the raw batch defeated the cache there: every batch size was a fresh
-    // miss pricing a shape already priced). The cached pair is
-    // fault-independent — degradation scales it *after* the lookup — so
-    // the key needs no fault epoch.
-    let mut step_cache: HashMap<(u64, u64), (f64, f64)> = HashMap::new();
-    let mut cache_stats = StepCacheStats::default();
-
-    // Worst-case KV demand if `cand` joins the current batch (same
-    // whole-lifetime accounting as the legacy loop).
-    fn kv_demand(running: &[RunningRequest], cand: &QueuedRequest) -> u64 {
-        running
-            .iter()
-            .map(|f| f.req.prompt_len + f.req.output_len)
-            .sum::<u64>()
-            + cand.req.prompt_len
-            + cand.req.output_len
+        });
+        let registry = engine
+            .prefix_caching()
+            .then(|| PrefixRegistry::new(engine.kv_shards(), policy.prefix_victim()));
+        ReplicaSim {
+            engine,
+            policy,
+            retry,
+            max_batch,
+            capacity: engine.kv_capacity_tokens(),
+            events: plan.events(),
+            next_event: 0,
+            faults: FaultBooks {
+                state: FaultState::new(engine.cluster().total_ranks()),
+                rob: RobustnessStats::default(),
+                victims_outstanding: HashSet::new(),
+                recover_started: None,
+            },
+            stream,
+            registry,
+            trace: arrivals.into_iter().peekable(),
+            queue: Vec::new(),
+            running: Vec::new(),
+            completions: Vec::new(),
+            rejections,
+            now: 0.0,
+            peak_batch: 0,
+            output_tokens: 0,
+            preemptions: 0,
+            comm_s: 0.0,
+            step_cache: HashMap::new(),
+            cache_stats: StepCacheStats::default(),
+        }
     }
 
-    macro_rules! faults_due {
-        () => {
-            if !clean {
-                apply_due_faults(
-                    events,
-                    &mut next_event,
-                    &mut books,
-                    &mut stream,
-                    &mut registry,
-                    retry,
-                    engine,
-                    &mut now,
-                    &mut pending,
-                    &mut running,
-                    &mut rejections,
-                );
-            }
-        };
+    /// One scheduler round: due faults, admission, prefill chunks, one
+    /// decode step and retirement. `false` once every request resolved.
+    fn round(&mut self) -> bool {
+        if self.queue.is_empty() && self.trace.peek().is_none() && self.running.is_empty() {
+            return false;
+        }
+        self.apply_due_faults();
+        while self.admit_next() {}
+        self.peak_batch = self.peak_batch.max(self.running.len());
+        if !self.running.is_empty() {
+            self.advance_prefill_chunks();
+            self.decode_step();
+        }
+        true
     }
 
-    while !pending.is_empty() || !running.is_empty() {
-        faults_due!();
-        // Admission phase.
-        'admit: while !pending.is_empty() {
-            if pending[0].req.arrival_s > now && running.is_empty() {
-                // Idle: jump to the next arrival.
-                now = pending[0].req.arrival_s;
-                faults_due!();
-            }
-            let arrived = pending.partition_point(|p| p.req.arrival_s <= now);
-            if arrived == 0 || running.len() >= max_batch {
+    /// Moves every request that has arrived by `now` from the trace into
+    /// the queue. Arrivals are later than anything already queued, so
+    /// appending keeps the queue sorted.
+    fn pull_arrivals(&mut self) {
+        while let Some(req) = self.trace.next_if(|r| r.arrival_s <= self.now) {
+            self.queue.push(QueuedRequest::fresh(req));
+        }
+    }
+
+    /// Re-inserts a preempted or fault-displaced request by its original
+    /// arrival and returns its queue index. Arrivals due by `now` are
+    /// pulled first, so a victim lands after every request that arrived
+    /// at the same instant — exactly where the whole-trace order puts it.
+    fn requeue(&mut self, back: QueuedRequest) -> usize {
+        self.pull_arrivals();
+        let pos = self
+            .queue
+            .partition_point(|p| p.req.arrival_s <= back.req.arrival_s);
+        self.queue.insert(pos, back);
+        pos
+    }
+
+    /// Records a typed rejection and releases whatever the request still
+    /// holds in the prefix registry and the fault books.
+    fn reject(&mut self, id: u64, reason: RejectReason) {
+        self.rejections.push(Rejection { id, reason });
+        if let Some(reg) = self.registry.as_mut() {
+            reg.release(id);
+        }
+        self.faults.resolve_victim(id, self.now);
+    }
+
+    /// Applies every fault event due at or before `now` (plus link-window
+    /// expiry). Called at the top of each round and after every time jump,
+    /// so no event is skipped over. A no-op on an empty plan.
+    fn apply_due_faults(&mut self) {
+        let state = &mut self.faults.state;
+        // Link windows expire by time, not by a plan event.
+        if state.link_factor != 1.0 && self.now >= state.link_until {
+            state.link_factor = 1.0;
+        }
+        while let Some(&ev) = self.events.get(self.next_event) {
+            if ev.at_s > self.now {
                 break;
             }
-            // Streaming admission is paced: at most one prefilling resident
-            // per chunk slot. Without the cap the loop admits the whole
-            // queue the moment it arrives (admission itself costs no time
-            // under chunked prefill), and the eagerly-reserved KV of
-            // low-priority residents blocks late interactive arrivals —
-            // the exact tail chunked prefill is meant to cut. Held
-            // admissions stay in `pending`, where the policy keeps
-            // reordering them as chunks drain.
-            if stream.is_some()
-                && running.iter().filter(|f| f.is_prefilling()).count()
-                    >= engine.micro_batches().max(1) as usize
-            {
-                break;
-            }
-            // Backoff gating: fault victims waiting out their backoff are
-            // invisible to the policy until `not_before_s`. On the clean
-            // path every `not_before_s` is 0, so the view is the plain
-            // arrived slice and no gating work happens.
-            let picked = if clean {
-                policy.select(&pending[..arrived], &running, now)
-            } else {
-                let eligible: Vec<usize> = (0..arrived)
-                    .filter(|&i| pending[i].not_before_s <= now)
-                    .collect();
-                let view: Vec<QueuedRequest> = eligible.iter().map(|&i| pending[i]).collect();
-                policy.select(&view, &running, now).map(|vi| {
-                    assert!(vi < view.len(), "policy selected an unarrived request");
-                    eligible[vi]
-                })
-            };
-            let Some(pick) = picked else {
-                if running.is_empty() {
-                    // The engine is idle and the policy holds admission (or
-                    // every eligible request is waiting out a backoff):
-                    // jump to whatever ends the hold first — the next
-                    // arrival, the earliest backoff expiry, or the next
-                    // fault event (a repair can end a brownout).
-                    let mut wake = pending
-                        .iter()
-                        .find(|p| p.req.arrival_s > now)
-                        .map(|p| p.req.arrival_s);
-                    if !clean {
-                        let backoff = pending[..arrived]
-                            .iter()
-                            .map(|p| p.not_before_s)
-                            .filter(|&t| t > now)
-                            .fold(f64::INFINITY, f64::min);
-                        if backoff.is_finite() {
-                            wake = Some(wake.map_or(backoff, |w| w.min(backoff)));
-                        }
-                        if next_event < events.len() {
-                            let ev = events[next_event].at_s;
-                            wake = Some(wake.map_or(ev, |w| w.min(ev)));
-                        }
+            self.next_event += 1;
+            self.faults.rob.faults_injected += 1;
+            match ev.kind {
+                FaultKind::RankFail { rank } => self.fail_rank(rank),
+                FaultKind::RankRepair { rank } => {
+                    let rank = rank % self.faults.state.total_ranks;
+                    if let Some(s) = self.stream.as_mut() {
+                        s.shards.repair_rank(rank);
                     }
-                    if let Some(t) = wake {
-                        now = now.max(t);
-                        faults_due!();
-                        continue 'admit;
+                    if let Some(reg) = self.registry.as_mut() {
+                        reg.repair_rank(rank);
                     }
-                    // Nothing will ever wake the engine again: the policy
-                    // held admission with no future arrival, backoff or
-                    // fault left. Shed the queue with a typed rejection
-                    // instead of panicking or spinning forever.
-                    for q in pending.drain(..) {
-                        rejections.push(Rejection {
-                            id: q.req.id,
-                            reason: RejectReason::PolicyHold,
-                        });
-                        if let Some(reg) = registry.as_mut() {
-                            reg.release(q.req.id);
-                        }
-                        if !clean {
-                            books.resolve_victim(q.req.id, now);
-                        }
+                    let state = &mut self.faults.state;
+                    if state.dead.remove(&rank) && state.dead.is_empty() {
+                        self.faults.rob.downtime_s += self.now - state.degraded_since;
                     }
-                    break 'admit;
                 }
-                break;
-            };
-            assert!(pick < arrived, "policy selected an unarrived request");
-            let cand = pending[pick];
+                FaultKind::LinkDegrade { factor, duration_s } => {
+                    self.faults.state.link_factor = factor.max(1.0);
+                    self.faults.state.link_until = self.now + duration_s;
+                    self.faults.rob.link_degrades += 1;
+                }
+                FaultKind::KvStall { stall_s } => {
+                    self.now += stall_s;
+                    self.faults.rob.stall_s += stall_s;
+                }
+                FaultKind::CorruptFrame { frames } => {
+                    // The entropy codecs' checksums surface corruption as a
+                    // typed error before garbage reaches the ZipGEMM path;
+                    // the recovery cost is one PCIe re-fetch per frame.
+                    let penalty = frames as f64 * self.engine.frame_refetch_s();
+                    self.now += penalty;
+                    self.faults.rob.frame_corruptions += frames as u64;
+                    self.faults.rob.refetch_s += penalty;
+                }
+            }
+        }
+    }
 
-            // A request whose lifetime KV demand exceeds capacity can never
-            // run: reject it up front, before it evicts innocent victims.
-            // Judged against *full* capacity — a degraded deployment may
-            // recover, so the verdict must not depend on the fault state.
-            if cand.req.prompt_len + cand.req.output_len > capacity {
-                rejections.push(Rejection {
-                    id: cand.req.id,
-                    reason: RejectReason::Oversized,
-                });
-                pending.remove(pick);
-                if !clean {
-                    books.resolve_victim(cand.req.id, now);
-                }
-                continue 'admit;
+    /// A rank dies. KV shards mirror every sequence across all ranks, so
+    /// one dead rank invalidates the whole batch's KV: every running
+    /// request is victimized for recompute-prefill (bounded by the retry
+    /// cap), never silently continued on garbage.
+    fn fail_rank(&mut self, rank: usize) {
+        let rank = rank % self.faults.state.total_ranks;
+        if !self.faults.state.dead.insert(rank) {
+            return; // already dead
+        }
+        if self.faults.state.dead.len() == 1 {
+            self.faults.state.degraded_since = self.now;
+        }
+        self.faults.rob.rank_failures += 1;
+        if let Some(s) = self.stream.as_mut() {
+            s.shards.invalidate_rank(rank);
+        }
+        if let Some(reg) = self.registry.as_mut() {
+            reg.invalidate_rank(rank);
+        }
+        for victim in std::mem::take(&mut self.running) {
+            if let Some(s) = self.stream.as_mut() {
+                s.unreserve(victim.req.id);
             }
-
-            // SLO-aware brownout: while a rank is down, fresh best-effort
-            // (Batch-class) arrivals are shed so the degraded capacity
-            // serves SLO-carrying traffic; fault victims keep their retry
-            // path regardless of class.
-            if !clean
-                && !books.state.dead.is_empty()
-                && cand.retries == 0
-                && cand.req.priority == PriorityClass::Batch
-            {
-                rejections.push(Rejection {
-                    id: cand.req.id,
-                    reason: RejectReason::BrownoutShed,
-                });
-                books.rob.shed += 1;
-                pending.remove(pick);
-                continue 'admit;
+            let retries = victim.retries + 1;
+            if retries > self.retry.max_retries {
+                self.reject(victim.req.id, RejectReason::RetriesExhausted);
+                continue;
             }
-
-            // Capacity re-planned around dead ranks (integer scaling; full
-            // capacity — the same u64 — while every rank is alive).
-            let cap_now = if clean || books.state.dead.is_empty() {
-                capacity
-            } else {
-                books.state.scaled_capacity(capacity)
-            };
-
-            // Preempt victims until the candidate fits or the policy (or
-            // the per-request cap, as a backstop for custom policies that
-            // name a pinned victim) refuses. Each eviction re-inserts the
-            // victim into `pending` by arrival, so the candidate's index is
-            // tracked through the insertions rather than re-located.
-            //
-            // Streaming mode adds a second gate behind the scalar one: the
-            // candidate's whole-lifetime KV must also reserve real pages on
-            // every alive rank. The reservation is sticky — once taken it
-            // is kept across further fit checks, and released only if the
-            // candidate ultimately fails to admit.
-            let mut cand_idx = pick;
-            let mut evictions_left = running.len();
-            let mut reserved = false;
-            macro_rules! cand_fits {
-                () => {{
-                    if kv_demand(&running, &cand) > cap_now {
-                        false
-                    } else if let Some(s) = stream.as_mut() {
-                        if !reserved {
-                            reserved = s.try_reserve(&cand);
-                        }
-                        reserved
-                    } else {
-                        true
-                    }
-                }};
-            }
-            while !cand_fits!() && evictions_left > 0 {
-                let Some(vi) = policy.victim(&cand, &running, now) else {
-                    break;
-                };
-                if running[vi].preemptions >= MAX_PREEMPTIONS {
-                    break;
-                }
-                let victim = running.remove(vi);
-                if let Some(s) = stream.as_mut() {
-                    s.unreserve(victim.req.id);
-                }
-                preemptions += 1;
-                // Page-out preemption pays the host-bound PCIe transfer at
-                // eviction time — the victim's pages must land in host
-                // memory before the candidate can take them, delaying the
-                // whole engine *now*. The matching page-in is charged when
-                // the victim resumes. (The pre-split accounting lumped both
-                // transfers at resume, understating the eviction-side
-                // stall; pinned by `pageout_is_charged_at_both_ends`.)
-                if policy.preemption_mode() == PreemptionMode::PageOut {
-                    now += engine.kv_swap_s(victim.kv_tokens());
-                }
-                let back = QueuedRequest {
-                    req: victim.req,
-                    resume_generated: victim.generated,
-                    preemptions: victim.preemptions + 1,
-                    first_admitted_s: Some(victim.first_admitted_s),
-                    first_token_s: victim.first_token_s,
-                    retries: victim.retries,
-                    not_before_s: 0.0,
-                };
-                let pos = pending.partition_point(|p| p.req.arrival_s <= back.req.arrival_s);
-                pending.insert(pos, back);
-                if pos <= cand_idx {
-                    cand_idx += 1;
-                }
-                evictions_left -= 1;
-            }
-
-            if !cand_fits!() {
-                // A stranded reservation (scalar gate failed after the
-                // shards accepted) must be handed back before the hold.
-                if reserved {
-                    if let Some(s) = stream.as_mut() {
-                        s.unreserve(cand.req.id);
-                    }
-                }
-                if stream.is_some() && clean && running.is_empty() {
-                    // A lone non-oversized candidate always fits empty
-                    // shards on a clean deployment (the scalar capacity is
-                    // the min over per-rank shard capacities), so this is
-                    // unreachable — but a silent `break 'admit` here would
-                    // spin forever, so shed with a typed rejection instead.
-                    debug_assert!(false, "lone candidate refused by empty shards");
-                    rejections.push(Rejection {
-                        id: cand.req.id,
-                        reason: RejectReason::CapacityLost,
-                    });
-                    if let Some(reg) = registry.as_mut() {
-                        reg.release(cand.req.id);
-                    }
-                    pending.remove(cand_idx);
-                    continue 'admit;
-                }
-                if !clean && running.is_empty() {
-                    // Degraded capacity cannot hold even a lone candidate
-                    // that fits the healthy deployment. Wait for the next
-                    // fault event (a repair restores capacity); with none
-                    // left, the capacity is gone for good — typed
-                    // rejection, not an infinite stall.
-                    if next_event < events.len() {
-                        now = now.max(events[next_event].at_s);
-                        faults_due!();
-                    } else {
-                        rejections.push(Rejection {
-                            id: cand.req.id,
-                            reason: RejectReason::CapacityLost,
-                        });
-                        if let Some(reg) = registry.as_mut() {
-                            reg.release(cand.req.id);
-                        }
-                        pending.remove(cand_idx);
-                        books.resolve_victim(cand.req.id, now);
-                    }
-                    continue 'admit;
-                }
-                // The candidate fits an empty batch (oversized requests were
-                // rejected above), so this hold always ends as completions
-                // or further preemptions free KV.
-                break 'admit;
-            }
-
-            // Admit: fresh requests pay prefill; resumed requests pay the
-            // policy's preferred KV recovery. Fault victims *always*
-            // recompute — the failed rank's shard is gone, so there is
-            // nothing to page back in.
-            debug_assert_eq!(pending[cand_idx], cand, "candidate index tracked");
-            let q = pending.remove(cand_idx);
-            if !clean {
-                books.resolve_victim(q.req.id, now);
-            }
-            // Prefix-cache lookup: a fresh prefill that declares a shared
-            // prefix may fork the cached copy and prefill only the suffix.
-            // Fault-retry recomputes stay full-price — the dead rank's KV
-            // (cached prefixes included) is gone.
-            let mut prefix_saved = 0u64;
-            if let Some(reg) = registry.as_mut() {
-                if q.resume_generated == 0 && (clean || q.retries == 0) {
-                    prefix_saved = reg.admit(
-                        q.req.id,
-                        q.req.prefix_hash,
-                        q.req.prefix_len,
-                        q.req.prompt_len,
-                    );
-                }
-            }
-            let mut cost = if !clean && q.retries > 0 {
-                books.rob.recomputed_tokens += q.kv_tokens_on_admit();
-                engine.prefill_ms(1, q.kv_tokens_on_admit()) / 1e3
-            } else if q.resume_generated == 0 {
-                engine.prefill_ms(1, q.req.prompt_len.saturating_sub(prefix_saved).max(1)) / 1e3
-            } else {
-                match policy.preemption_mode() {
-                    PreemptionMode::Recompute => engine.prefill_ms(1, q.kv_tokens_on_admit()) / 1e3,
-                    // Page-in only: the outbound transfer was charged when
-                    // this request was evicted.
-                    PreemptionMode::PageOut => engine.kv_swap_s(q.kv_tokens_on_admit()),
-                }
-            };
-            if !clean && !books.state.dead.is_empty() {
-                cost *= books.state.compute_slowdown();
-            }
-            // Streaming mode defers a *fresh* prefill: instead of charging
-            // the whole cost serially at admission, the request enters the
-            // batch still prefilling and pays `cost / n_chunks` per chunk
-            // as chunks ride the pipeline's micro-batch slots between
-            // decode steps. Resumes (page-in, recompute) stay serial — they
-            // rebuild KV, they don't stream the prompt through the stages.
-            // Classes opted out via `EngineBuilder::whole_prefill_for` also
-            // stay serial: their prompts take the legacy admission charge
-            // while the rest of the traffic keeps chunking.
-            let mut chunks_left = 0u32;
-            match stream.as_mut() {
-                Some(s) if q.resume_generated == 0 && !engine.whole_prefill_for(q.req.priority) => {
-                    chunks_left = s.n_chunks;
-                    s.chunk_cost.insert(q.req.id, cost / f64::from(s.n_chunks));
-                }
-                _ => now += cost,
-            }
-            running.push(RunningRequest {
-                req: q.req,
-                admitted_s: now,
-                generated: q.resume_generated,
-                preemptions: q.preemptions,
-                first_admitted_s: q.first_admitted_s.unwrap_or(now),
-                first_token_s: q.first_token_s,
-                retries: q.retries,
-                prefill_chunks_left: chunks_left,
+            self.faults.rob.retries += 1;
+            self.faults.victims_outstanding.insert(victim.req.id);
+            self.requeue(QueuedRequest {
+                req: victim.req,
+                resume_generated: victim.generated,
+                preemptions: victim.preemptions,
+                first_admitted_s: Some(victim.first_admitted_s),
+                first_token_s: victim.first_token_s,
+                retries,
+                not_before_s: self.now + self.retry.delay_s(retries),
             });
         }
-        peak_batch = peak_batch.max(running.len());
-        if running.is_empty() {
-            if pending.is_empty() {
+        if !self.faults.victims_outstanding.is_empty() && self.faults.recover_started.is_none() {
+            self.faults.recover_started = Some(self.now);
+        }
+    }
+
+    /// One pass of the admission loop: lets the policy pick an arrived
+    /// request and admits, rejects or holds it. `false` ends admission for
+    /// this round.
+    fn admit_next(&mut self) -> bool {
+        self.pull_arrivals();
+        if self.queue.is_empty() && self.running.is_empty() {
+            // Idle: jump to the next arrival.
+            let Some(next) = self.trace.peek() else {
+                return false;
+            };
+            self.now = next.arrival_s;
+            self.apply_due_faults();
+            self.pull_arrivals();
+        }
+        if self.queue.is_empty() || self.running.len() >= self.max_batch {
+            return false;
+        }
+        // Streaming admission is paced: at most one prefilling resident
+        // per chunk slot. Without the cap the loop admits the whole queue
+        // the moment it arrives (admission itself costs no time under
+        // chunked prefill), and the eagerly-reserved KV of low-priority
+        // residents blocks late interactive arrivals — the exact tail
+        // chunked prefill is meant to cut. Held admissions stay queued,
+        // where the policy keeps reordering them as chunks drain.
+        if self.stream.is_some()
+            && self.running.iter().filter(|f| f.is_prefilling()).count()
+                >= self.engine.micro_batches().max(1) as usize
+        {
+            return false;
+        }
+        let Some(pick) = self.select() else {
+            return self.on_hold();
+        };
+        assert!(
+            pick < self.queue.len(),
+            "policy selected an unarrived request"
+        );
+        let cand = self.queue[pick];
+
+        // A request whose lifetime KV demand exceeds capacity can never
+        // run: reject it up front, before it evicts innocent victims.
+        // Judged against *full* capacity — a degraded deployment may
+        // recover, so the verdict must not depend on the fault state.
+        if lifetime_tokens(&cand.req).is_none_or(|t| t > self.capacity) {
+            self.queue.remove(pick);
+            self.reject(cand.req.id, RejectReason::Oversized);
+            return true;
+        }
+
+        // SLO-aware brownout: while a rank is down, fresh best-effort
+        // (Batch-class) arrivals are shed so the degraded capacity serves
+        // SLO-carrying traffic; fault victims keep their retry path
+        // regardless of class.
+        if !self.faults.state.dead.is_empty()
+            && cand.retries == 0
+            && cand.req.priority == PriorityClass::Batch
+        {
+            self.rejections.push(Rejection {
+                id: cand.req.id,
+                reason: RejectReason::BrownoutShed,
+            });
+            self.faults.rob.shed += 1;
+            self.queue.remove(pick);
+            return true;
+        }
+
+        // Capacity re-planned around dead ranks (integer scaling; full
+        // capacity — the same u64 — while every rank is alive).
+        let cap = if self.faults.state.dead.is_empty() {
+            self.capacity
+        } else {
+            self.faults.state.scaled_capacity(self.capacity)
+        };
+
+        // Preempt victims until the candidate fits or the policy (or the
+        // per-request cap, as a backstop for custom policies that name a
+        // pinned victim) refuses. Each eviction re-inserts the victim by
+        // arrival, so the candidate's index is tracked through the
+        // insertions rather than re-located.
+        let mut cand_idx = pick;
+        let mut evictions_left = self.running.len();
+        let mut reserved = false;
+        while !self.fits(&cand, cap, &mut reserved) && evictions_left > 0 {
+            let Some(vi) = self.policy.victim(&cand, &self.running, self.now) else {
+                break;
+            };
+            if self.running[vi].preemptions >= MAX_PREEMPTIONS {
                 break;
             }
-            continue;
+            if self.preempt(vi) <= cand_idx {
+                cand_idx += 1;
+            }
+            evictions_left -= 1;
         }
+        if !self.fits(&cand, cap, &mut reserved) {
+            // A stranded reservation (scalar gate failed after the shards
+            // accepted) must be handed back before the hold.
+            if reserved {
+                if let Some(s) = self.stream.as_mut() {
+                    s.unreserve(cand.req.id);
+                }
+            }
+            return self.lone_candidate_refused(cand_idx);
+        }
+        debug_assert_eq!(self.queue[cand_idx], cand, "candidate index tracked");
+        self.admit(cand_idx);
+        true
+    }
 
-        // Chunked prefill: between decode steps, up to `micro_batches`
-        // prefill chunks ride the pipeline's micro-batch slots, most
-        // urgent resident first (priority class, then earliest arrival).
-        // Chunk granularity is the TTFT win — an interactive prompt's
-        // chunks overtake a long batch prompt mid-prefill instead of
-        // queueing behind its whole prefill.
-        if stream.is_some() {
-            for _ in 0..engine.micro_batches().max(1) {
-                let Some(next) = running
-                    .iter_mut()
-                    .filter(|f| f.is_prefilling())
-                    .max_by(|a, b| {
-                        a.req
-                            .priority
-                            .rank()
-                            .cmp(&b.req.priority.rank())
-                            .then_with(|| {
-                                b.req
-                                    .arrival_s
-                                    .partial_cmp(&a.req.arrival_s)
-                                    .expect("finite")
-                            })
-                            .then_with(|| b.req.id.cmp(&a.req.id))
-                    })
-                else {
-                    break;
-                };
-                let id = next.req.id;
-                next.prefill_chunks_left -= 1;
-                let chunk = stream
-                    .as_ref()
-                    .and_then(|s| s.chunk_cost.get(&id))
-                    .copied()
-                    .expect("streaming resident has a chunk cost");
-                now += chunk;
+    /// The policy's pick among the queued requests eligible now. Fault
+    /// victims waiting out their retry backoff are invisible to the policy
+    /// until `not_before_s`; when none is waiting, the policy sees the
+    /// queue itself.
+    fn select(&self) -> Option<usize> {
+        let now = self.now;
+        if self.queue.iter().all(|q| q.not_before_s <= now) {
+            return self.policy.select(&self.queue, &self.running, now);
+        }
+        let eligible: Vec<usize> = (0..self.queue.len())
+            .filter(|&i| self.queue[i].not_before_s <= now)
+            .collect();
+        let view: Vec<QueuedRequest> = eligible.iter().map(|&i| self.queue[i]).collect();
+        self.policy.select(&view, &self.running, now).map(|vi| {
+            assert!(vi < view.len(), "policy selected an unarrived request");
+            eligible[vi]
+        })
+    }
+
+    /// The policy held admission. A busy engine simply waits for the next
+    /// round; an idle one jumps to whatever ends the hold first — the next
+    /// arrival, the earliest backoff expiry, or the next fault event (a
+    /// repair can end a brownout). With nothing left to wake it, the queue
+    /// is shed with typed rejections instead of spinning forever.
+    fn on_hold(&mut self) -> bool {
+        if !self.running.is_empty() {
+            return false;
+        }
+        let now = self.now;
+        let next_arrival = self.trace.peek().map(|r| r.arrival_s);
+        let backoff = self
+            .queue
+            .iter()
+            .map(|p| p.not_before_s)
+            .filter(|&t| t > now);
+        let next_event = self.events.get(self.next_event).map(|e| e.at_s);
+        let wake = next_arrival
+            .into_iter()
+            .chain(backoff)
+            .chain(next_event)
+            .reduce(f64::min);
+        if let Some(t) = wake {
+            self.now = now.max(t);
+            self.apply_due_faults();
+            return true;
+        }
+        for q in std::mem::take(&mut self.queue) {
+            self.reject(q.req.id, RejectReason::PolicyHold);
+        }
+        false
+    }
+
+    /// Worst-case KV demand if `cand` joins the current batch, or `None`
+    /// when the sum overflows.
+    fn kv_demand(&self, cand: &QueuedRequest) -> Option<u64> {
+        self.running
+            .iter()
+            .try_fold(lifetime_tokens(&cand.req)?, |sum, f| {
+                sum.checked_add(lifetime_tokens(&f.req)?)
+            })
+    }
+
+    /// Whether `cand` fits next to the running batch under capacity `cap`.
+    /// Streaming mode adds a second gate behind the scalar one: the
+    /// candidate's whole-lifetime KV must also reserve real pages on every
+    /// alive rank. The reservation is sticky — once taken it is kept
+    /// across further checks, and released only if the candidate
+    /// ultimately fails to admit.
+    fn fits(&mut self, cand: &QueuedRequest, cap: u64, reserved: &mut bool) -> bool {
+        if self.kv_demand(cand).is_none_or(|d| d > cap) {
+            return false;
+        }
+        match self.stream.as_mut() {
+            Some(s) => {
+                if !*reserved {
+                    *reserved = s.try_reserve(cand);
+                }
+                *reserved
+            }
+            None => true,
+        }
+    }
+
+    /// Evicts running request `vi` back into the queue and returns the
+    /// queue index it landed at.
+    fn preempt(&mut self, vi: usize) -> usize {
+        let victim = self.running.remove(vi);
+        if let Some(s) = self.stream.as_mut() {
+            s.unreserve(victim.req.id);
+        }
+        self.preemptions += 1;
+        // Page-out preemption pays the host-bound PCIe transfer at
+        // eviction time — the victim's pages must land in host memory
+        // before the candidate can take them, delaying the whole engine
+        // *now*. The matching page-in is charged when the victim resumes
+        // (pinned by `pageout_is_charged_at_both_ends`).
+        if self.policy.preemption_mode() == PreemptionMode::PageOut {
+            self.now += self.engine.kv_swap_s(victim.kv_tokens());
+        }
+        self.requeue(QueuedRequest {
+            req: victim.req,
+            resume_generated: victim.generated,
+            preemptions: victim.preemptions + 1,
+            first_admitted_s: Some(victim.first_admitted_s),
+            first_token_s: victim.first_token_s,
+            retries: victim.retries,
+            not_before_s: 0.0,
+        })
+    }
+
+    /// The candidate at `cand_idx` does not fit even after preemption.
+    /// With residents running, admission holds until completions free KV
+    /// (the candidate fits an empty batch, as oversized requests were
+    /// rejected earlier). Alone on a degraded deployment, it waits for the
+    /// next fault event (a repair restores capacity); with none left the
+    /// capacity is gone for good — a typed rejection, not a stall.
+    fn lone_candidate_refused(&mut self, cand_idx: usize) -> bool {
+        if !self.running.is_empty() {
+            return false;
+        }
+        if let Some(ev) = self.events.get(self.next_event) {
+            self.now = self.now.max(ev.at_s);
+            self.apply_due_faults();
+            return true;
+        }
+        // A lone non-oversized candidate always fits a healthy deployment
+        // (the scalar capacity is the min over per-rank shard capacities),
+        // so this is unreachable without a dead rank.
+        debug_assert!(
+            !self.faults.state.dead.is_empty(),
+            "lone candidate refused by a healthy deployment"
+        );
+        let q = self.queue.remove(cand_idx);
+        self.reject(q.req.id, RejectReason::CapacityLost);
+        true
+    }
+
+    /// Admits the queued request at `idx`: fresh requests pay prefill;
+    /// resumed requests pay the policy's preferred KV recovery. Fault
+    /// victims *always* recompute — the failed rank's shard is gone, so
+    /// there is nothing to page back in.
+    fn admit(&mut self, idx: usize) {
+        let q = self.queue.remove(idx);
+        self.faults.resolve_victim(q.req.id, self.now);
+        // Prefix-cache lookup: a fresh prefill that declares a shared
+        // prefix may fork the cached copy and prefill only the suffix.
+        // Fault-retry recomputes stay full-price — the dead rank's KV
+        // (cached prefixes included) is gone.
+        let mut prefix_saved = 0u64;
+        if let Some(reg) = self.registry.as_mut() {
+            if q.resume_generated == 0 && q.retries == 0 {
+                prefix_saved = reg.admit(
+                    q.req.id,
+                    q.req.prefix_hash,
+                    q.req.prefix_len,
+                    q.req.prompt_len,
+                );
             }
         }
-
-        // One decode step for the batch's decode-ready subset (residents
-        // still mid-prefill occupy KV but don't decode yet; on the legacy
-        // path every resident has zero chunks left, so the filter is the
-        // identity and the arithmetic below is bit-for-bit the old loop).
-        let batch = running.iter().filter(|f| !f.is_prefilling()).count() as u64;
-        if batch == 0 {
-            // Whole batch still prefilling: chunks advanced time above, so
-            // the loop makes progress without a decode step.
-            continue;
+        let engine = self.engine;
+        let mut cost = if q.retries > 0 {
+            self.faults.rob.recomputed_tokens += q.kv_tokens_on_admit();
+            engine.prefill_ms(1, q.kv_tokens_on_admit()) / 1e3
+        } else if q.resume_generated == 0 {
+            engine.prefill_ms(1, q.req.prompt_len.saturating_sub(prefix_saved).max(1)) / 1e3
+        } else {
+            match self.policy.preemption_mode() {
+                PreemptionMode::Recompute => engine.prefill_ms(1, q.kv_tokens_on_admit()) / 1e3,
+                // Page-in only: the outbound transfer was charged when
+                // this request was evicted.
+                PreemptionMode::PageOut => engine.kv_swap_s(q.kv_tokens_on_admit()),
+            }
+        };
+        if !self.faults.state.dead.is_empty() {
+            cost *= self.faults.state.compute_slowdown();
         }
-        let mean_context: u64 = running
+        // Streaming mode defers a *fresh* prefill: instead of charging the
+        // whole cost serially at admission, the request enters the batch
+        // still prefilling and pays `cost / n_chunks` per chunk as chunks
+        // ride the pipeline's micro-batch slots between decode steps.
+        // Resumes (page-in, recompute) stay serial — they rebuild KV, they
+        // don't stream the prompt through the stages. Classes opted out
+        // via `EngineBuilder::whole_prefill_for` also stay serial.
+        let mut chunks_left = 0u32;
+        match self.stream.as_mut() {
+            Some(s) if q.resume_generated == 0 && !engine.whole_prefill_for(q.req.priority) => {
+                chunks_left = s.n_chunks;
+                s.chunk_cost.insert(q.req.id, cost / f64::from(s.n_chunks));
+            }
+            _ => self.now += cost,
+        }
+        self.running.push(RunningRequest {
+            req: q.req,
+            admitted_s: self.now,
+            generated: q.resume_generated,
+            preemptions: q.preemptions,
+            first_admitted_s: q.first_admitted_s.unwrap_or(self.now),
+            first_token_s: q.first_token_s,
+            retries: q.retries,
+            prefill_chunks_left: chunks_left,
+        });
+    }
+
+    /// Chunked prefill: between decode steps, up to `micro_batches`
+    /// prefill chunks ride the pipeline's micro-batch slots, most urgent
+    /// resident first (priority class, then earliest arrival). Chunk
+    /// granularity is the TTFT win — an interactive prompt's chunks
+    /// overtake a long batch prompt mid-prefill instead of queueing behind
+    /// its whole prefill. A no-op on the whole-prefill path.
+    fn advance_prefill_chunks(&mut self) {
+        let Some(s) = self.stream.as_ref() else {
+            return;
+        };
+        for _ in 0..self.engine.micro_batches().max(1) {
+            let Some(next) = self
+                .running
+                .iter_mut()
+                .filter(|f| f.is_prefilling())
+                .max_by(|a, b| {
+                    a.req
+                        .priority
+                        .rank()
+                        .cmp(&b.req.priority.rank())
+                        .then_with(|| {
+                            b.req
+                                .arrival_s
+                                .partial_cmp(&a.req.arrival_s)
+                                .expect("finite")
+                        })
+                        .then_with(|| b.req.id.cmp(&a.req.id))
+                })
+            else {
+                break;
+            };
+            next.prefill_chunks_left -= 1;
+            self.now += s
+                .chunk_cost
+                .get(&next.req.id)
+                .copied()
+                .expect("streaming resident has a chunk cost");
+        }
+    }
+
+    /// One decode step for the batch's decode-ready subset (residents
+    /// still mid-prefill occupy KV but don't decode yet), then retirement
+    /// of every request that produced its last token.
+    fn decode_step(&mut self) {
+        let batch = self.running.iter().filter(|f| !f.is_prefilling()).count() as u64;
+        if batch == 0 {
+            // Whole batch still prefilling: chunks advanced time, so the
+            // run makes progress without a decode step.
+            return;
+        }
+        let mean_context: u64 = self
+            .running
             .iter()
             .filter(|f| !f.is_prefilling())
             .map(|f| f.req.prompt_len + f.generated)
             .sum::<u64>()
             / batch;
         let bucket = (mean_context / 256).max(1) * 256;
-        let key = (engine.step_cache_key(batch), bucket);
-        if step_cache.contains_key(&key) {
-            cache_stats.hits += 1;
+        let key = (self.engine.step_cache_key(batch), bucket);
+        if self.step_cache.contains_key(&key) {
+            self.cache_stats.hits += 1;
         } else {
-            cache_stats.misses += 1;
+            self.cache_stats.misses += 1;
         }
-        let (ms, step_comm_ms) = *step_cache
+        let engine = self.engine;
+        let (ms, step_comm_ms) = *self
+            .step_cache
             .entry(key)
             .or_insert_with(|| engine.step_cost_priced(key, batch, bucket));
-        if clean || books.state.is_clean() {
-            now += ms / 1e3;
-            comm_s += step_comm_ms / 1e3;
+        let state = &self.faults.state;
+        if state.is_clean() {
+            self.now += ms / 1e3;
+            self.comm_s += step_comm_ms / 1e3;
         } else {
             // Survivors absorb the dead ranks' compute; the communication
             // share stretches by the degraded-link factor (same model as
             // `parallel::allreduce_us_degraded`).
-            let slow = if books.state.dead.is_empty() {
+            let slow = if state.dead.is_empty() {
                 1.0
             } else {
-                books.state.compute_slowdown()
+                state.compute_slowdown()
             };
-            let eff_ms = (ms - step_comm_ms) * slow + step_comm_ms * books.state.link_factor;
-            now += eff_ms / 1e3;
-            comm_s += step_comm_ms * books.state.link_factor / 1e3;
+            let eff_ms = (ms - step_comm_ms) * slow + step_comm_ms * state.link_factor;
+            self.now += eff_ms / 1e3;
+            self.comm_s += step_comm_ms * state.link_factor / 1e3;
         }
-        output_tokens += batch;
+        self.output_tokens += batch;
 
-        // Advance and retire (decode-ready residents only; identity filter
-        // on the legacy path).
-        for f in running.iter_mut().filter(|f| !f.is_prefilling()) {
+        let now = self.now;
+        for f in self.running.iter_mut().filter(|f| !f.is_prefilling()) {
             f.generated += 1;
             if f.first_token_s.is_none() {
                 f.first_token_s = Some(now);
             }
         }
-        running.retain(|f| {
-            if !f.is_prefilling() && f.generated >= f.req.output_len {
-                if let Some(s) = stream.as_mut() {
-                    s.unreserve(f.req.id);
-                }
-                if let Some(reg) = registry.as_mut() {
-                    reg.release(f.req.id);
-                }
-                completions.push(complete(f, now));
-                false
-            } else {
-                true
+        let (stream, registry) = (&mut self.stream, &mut self.registry);
+        let completions = &mut self.completions;
+        self.running.retain(|f| {
+            if f.is_prefilling() || f.generated < f.req.output_len {
+                return true;
             }
+            if let Some(s) = stream.as_mut() {
+                s.unreserve(f.req.id);
+            }
+            if let Some(reg) = registry.as_mut() {
+                reg.release(f.req.id);
+            }
+            completions.push(complete(f, now));
+            false
         });
     }
 
-    if !clean {
-        // Close the books: a run can end while degraded or with a recovery
-        // window still open (every victim rejected late in the run).
-        if !books.state.dead.is_empty() {
-            books.rob.downtime_s += now - books.state.degraded_since;
+    /// Closes the books and builds the report. A run can end while
+    /// degraded or with a recovery window still open (every victim
+    /// rejected late in the run).
+    fn finish(self) -> ScheduleReport {
+        let mut rob = self.faults.rob;
+        if !self.faults.state.dead.is_empty() {
+            rob.downtime_s += self.now - self.faults.state.degraded_since;
         }
-        if let Some(t0) = books.recover_started.take() {
-            books.rob.time_to_recover_s += now - t0;
-            books.rob.recoveries += 1;
+        if let Some(t0) = self.faults.recover_started {
+            rob.time_to_recover_s += self.now - t0;
+            rob.recoveries += 1;
+        }
+        ScheduleReport {
+            completions: self.completions,
+            duration_s: self.now,
+            throughput_tps: throughput(self.output_tokens, self.now),
+            peak_batch: self.peak_batch,
+            comm_s: self.comm_s,
+            preemptions: self.preemptions,
+            rejected: self.rejections.iter().map(|r| r.id).collect(),
+            rejections: self.rejections,
+            robustness: rob,
+            step_cache: self.cache_stats,
+            prefix: self.registry.map(|r| r.stats()).unwrap_or_default(),
+            policy: self.policy.name().to_string(),
         }
     }
-
-    finish_report(
-        policy.name(),
-        now,
-        output_tokens,
-        peak_batch,
-        comm_s,
-        preemptions,
-        rejections,
-        books.rob,
-        cache_stats,
-        registry.map(|r| r.stats()).unwrap_or_default(),
-        completions,
-    )
 }
 
-/// A request in flight (legacy reference loop only).
+/// A request in flight (reference loop only).
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     req: Request,
@@ -1240,155 +1257,125 @@ struct InFlight {
     first_token_s: Option<f64>,
 }
 
-/// The original FCFS continuous-batching simulator, kept as a thin shim.
-///
-/// Prefer the builder path: `ServingEngine::builder().policy(Fcfs).build()`
-/// then [`ServingEngine::serve_online`](crate::engine::ServingEngine::serve_online)
-/// — it accepts any [`SchedulePolicy`] and carries the batch cap with the
-/// engine. [`ContinuousBatcher::run`] delegates there with [`Fcfs`], so
-/// downstream code keeps compiling unchanged.
-#[derive(Debug)]
-pub struct ContinuousBatcher<'a> {
-    engine: &'a ServingEngine,
-    /// Hard cap on concurrent sequences (scheduler config).
-    pub max_batch: usize,
-}
+/// The frozen pre-trait FCFS continuous-batching loop, kept verbatim as
+/// the regression oracle for [`run_policy`]'s bit-compatibility proptest.
+/// It predates preemption, faults, comm accounting, chunked prefill and
+/// prefix caching. Not for new code — use [`run_policy`] or
+/// [`ServingEngine::serve_online`].
+pub fn run_reference(
+    engine: &ServingEngine,
+    max_batch: usize,
+    mut arrivals: Vec<Request>,
+) -> ScheduleReport {
+    arrivals.sort_by(|a, b| a.arrival_s.partial_cmp(&b.arrival_s).expect("finite"));
+    let capacity = engine.kv_capacity_tokens();
+    let mut queue: VecDeque<Request> = arrivals.iter().copied().collect();
+    let mut running: Vec<InFlight> = Vec::new();
+    let mut completions = Vec::new();
+    let mut now = 0.0f64;
+    let mut peak_batch = 0usize;
+    let mut output_tokens = 0u64;
 
-impl<'a> ContinuousBatcher<'a> {
-    /// Creates a batcher over an engine deployment.
-    ///
-    /// Superseded by [`ServingEngine::builder`](crate::engine::ServingEngine::builder),
-    /// which folds the batcher's configuration into the engine itself.
-    pub fn new(engine: &'a ServingEngine) -> Self {
-        ContinuousBatcher {
-            engine,
-            max_batch: 64,
-        }
-    }
+    // Cache step times: keyed by (batch, context bucket). The raw-batch
+    // key is part of the frozen arithmetic; on the single-stage engines
+    // this oracle is compared on, it coincides with
+    // `ServingEngine::step_cache_key`, so the hit/miss counters stay
+    // bit-compatible with the generic loop's.
+    let mut step_cache: HashMap<(u64, u64), f64> = HashMap::new();
+    let mut cache_stats = StepCacheStats::default();
 
-    /// Runs the arrival trace to completion under FCFS.
-    ///
-    /// Delegates to the policy-generic [`run_policy`] loop with [`Fcfs`];
-    /// bit-compatibility with the pre-trait implementation is pinned by
-    /// [`ContinuousBatcher::run_reference`] and the `schedule_policies`
-    /// proptest suite.
-    pub fn run(&self, arrivals: Vec<Request>) -> ScheduleReport {
-        run_policy(self.engine, &Fcfs, self.max_batch, arrivals)
-    }
-
-    /// The frozen pre-trait FCFS loop, kept verbatim as the regression
-    /// oracle for [`run_policy`]'s bit-compatibility proptest. Not for new
-    /// code — use [`ContinuousBatcher::run`] or the builder path.
-    pub fn run_reference(&self, mut arrivals: Vec<Request>) -> ScheduleReport {
-        arrivals.sort_by(|a, b| a.arrival_s.partial_cmp(&b.arrival_s).expect("finite"));
-        let capacity = self.engine.kv_capacity_tokens();
-        let mut queue: VecDeque<Request> = arrivals.iter().copied().collect();
-        let mut running: Vec<InFlight> = Vec::new();
-        let mut completions = Vec::new();
-        let mut now = 0.0f64;
-        let mut peak_batch = 0usize;
-        let mut output_tokens = 0u64;
-
-        // Cache step times: keyed by (batch, context bucket). The raw-batch
-        // key is part of the frozen arithmetic; on the single-stage engines
-        // this oracle is compared on, it coincides with
-        // `ServingEngine::step_cache_key`, so the hit/miss counters stay
-        // bit-compatible with the generic loop's.
-        let mut step_cache: HashMap<(u64, u64), f64> = HashMap::new();
-        let mut cache_stats = StepCacheStats::default();
-
-        while !queue.is_empty() || !running.is_empty() {
-            // Admit while capacity and the batch cap allow.
-            while let Some(next) = queue.front() {
-                if next.arrival_s > now && running.is_empty() {
-                    // Idle: jump to the next arrival.
-                    now = next.arrival_s;
-                }
-                if next.arrival_s > now || running.len() >= self.max_batch {
-                    break;
-                }
-                let demand: u64 = running
-                    .iter()
-                    .map(|f| f.req.prompt_len + f.req.output_len)
-                    .sum::<u64>()
-                    + next.prompt_len
-                    + next.output_len;
-                if demand > capacity {
-                    break;
-                }
-                let req = queue.pop_front().expect("checked front");
-                now += self.engine.prefill_ms(1, req.prompt_len) / 1e3;
-                running.push(InFlight {
-                    req,
-                    admitted_s: now,
-                    generated: 0,
-                    first_token_s: None,
-                });
+    while !queue.is_empty() || !running.is_empty() {
+        // Admit while capacity and the batch cap allow.
+        while let Some(next) = queue.front() {
+            if next.arrival_s > now && running.is_empty() {
+                // Idle: jump to the next arrival.
+                now = next.arrival_s;
             }
-            peak_batch = peak_batch.max(running.len());
-            if running.is_empty() {
-                continue;
+            if next.arrival_s > now || running.len() >= max_batch {
+                break;
             }
-
-            // One decode step for the whole batch.
-            let batch = running.len() as u64;
-            let mean_context: u64 = running
+            let demand: u64 = running
                 .iter()
-                .map(|f| f.req.prompt_len + f.generated)
+                .map(|f| f.req.prompt_len + f.req.output_len)
                 .sum::<u64>()
-                / batch;
-            let bucket = (mean_context / 256).max(1) * 256;
-            if step_cache.contains_key(&(batch, bucket)) {
-                cache_stats.hits += 1;
-            } else {
-                cache_stats.misses += 1;
+                + next.prompt_len
+                + next.output_len;
+            if demand > capacity {
+                break;
             }
-            let ms = *step_cache
-                .entry((batch, bucket))
-                .or_insert_with(|| self.engine.decode_step(batch, bucket).total_ms());
-            now += ms / 1e3;
-            output_tokens += batch;
-
-            // Advance and retire.
-            for f in running.iter_mut() {
-                f.generated += 1;
-                if f.first_token_s.is_none() {
-                    f.first_token_s = Some(now);
-                }
-            }
-            running.retain(|f| {
-                if f.generated >= f.req.output_len {
-                    let view = RunningRequest {
-                        req: f.req,
-                        admitted_s: f.admitted_s,
-                        generated: f.generated,
-                        preemptions: 0,
-                        first_admitted_s: f.admitted_s,
-                        first_token_s: f.first_token_s,
-                        retries: 0,
-                        prefill_chunks_left: 0,
-                    };
-                    completions.push(complete(&view, now));
-                    false
-                } else {
-                    true
-                }
+            let req = queue.pop_front().expect("checked front");
+            now += engine.prefill_ms(1, req.prompt_len) / 1e3;
+            running.push(InFlight {
+                req,
+                admitted_s: now,
+                generated: 0,
+                first_token_s: None,
             });
         }
+        peak_batch = peak_batch.max(running.len());
+        if running.is_empty() {
+            continue;
+        }
 
-        finish_report(
-            Fcfs.name(),
-            now,
-            output_tokens,
-            peak_batch,
-            0.0,
-            0,
-            Vec::new(),
-            RobustnessStats::default(),
-            cache_stats,
-            PrefixStats::default(),
-            completions,
-        )
+        // One decode step for the whole batch.
+        let batch = running.len() as u64;
+        let mean_context: u64 = running
+            .iter()
+            .map(|f| f.req.prompt_len + f.generated)
+            .sum::<u64>()
+            / batch;
+        let bucket = (mean_context / 256).max(1) * 256;
+        if step_cache.contains_key(&(batch, bucket)) {
+            cache_stats.hits += 1;
+        } else {
+            cache_stats.misses += 1;
+        }
+        let ms = *step_cache
+            .entry((batch, bucket))
+            .or_insert_with(|| engine.decode_step(batch, bucket).total_ms());
+        now += ms / 1e3;
+        output_tokens += batch;
+
+        // Advance and retire.
+        for f in running.iter_mut() {
+            f.generated += 1;
+            if f.first_token_s.is_none() {
+                f.first_token_s = Some(now);
+            }
+        }
+        running.retain(|f| {
+            if f.generated >= f.req.output_len {
+                let view = RunningRequest {
+                    req: f.req,
+                    admitted_s: f.admitted_s,
+                    generated: f.generated,
+                    preemptions: 0,
+                    first_admitted_s: f.admitted_s,
+                    first_token_s: f.first_token_s,
+                    retries: 0,
+                    prefill_chunks_left: 0,
+                };
+                completions.push(complete(&view, now));
+                false
+            } else {
+                true
+            }
+        });
+    }
+
+    ScheduleReport {
+        completions,
+        duration_s: now,
+        throughput_tps: throughput(output_tokens, now),
+        peak_batch,
+        comm_s: 0.0,
+        preemptions: 0,
+        rejected: Vec::new(),
+        rejections: Vec::new(),
+        robustness: RobustnessStats::default(),
+        step_cache: cache_stats,
+        prefix: PrefixStats::default(),
+        policy: Fcfs.name().to_string(),
     }
 }
 
@@ -1402,7 +1389,11 @@ mod tests {
     use zipserv_kernels::shapes::LlmModel;
 
     fn engine(kind: EngineKind) -> ServingEngine {
-        ServingEngine::new(kind, LlmModel::Llama31_8b, GpuCluster::single(Gpu::Rtx4090))
+        ServingEngine::builder()
+            .kind(kind)
+            .model(LlmModel::Llama31_8b)
+            .cluster(GpuCluster::single(Gpu::Rtx4090))
+            .build()
     }
 
     #[test]
@@ -1420,8 +1411,7 @@ mod tests {
     #[test]
     fn all_requests_complete() {
         let zip = engine(EngineKind::ZipServ);
-        let batcher = ContinuousBatcher::new(&zip);
-        let report = batcher.run(poisson_arrivals(4.0, 40, 128, 32, 3));
+        let report = zip.serve_online(poisson_arrivals(4.0, 40, 128, 32, 3));
         assert_eq!(report.completions.len(), 40);
         assert!(report.peak_batch >= 2, "batching should occur");
         assert!(report.throughput_tps > 0.0);
@@ -1433,7 +1423,7 @@ mod tests {
     #[test]
     fn percentiles_are_ordered() {
         let zip = engine(EngineKind::ZipServ);
-        let report = ContinuousBatcher::new(&zip).run(poisson_arrivals(6.0, 60, 128, 32, 5));
+        let report = zip.serve_online(poisson_arrivals(6.0, 60, 128, 32, 5));
         let p50 = report.latency_percentile(0.5).expect("has completions");
         let p95 = report.latency_percentile(0.95).expect("has completions");
         assert!(p50 <= p95);
@@ -1444,19 +1434,7 @@ mod tests {
 
     #[test]
     fn empty_report_yields_none_not_panic() {
-        let report = finish_report(
-            "fcfs",
-            0.0,
-            0,
-            0,
-            0.0,
-            0,
-            Vec::new(),
-            RobustnessStats::default(),
-            StepCacheStats::default(),
-            PrefixStats::default(),
-            Vec::new(),
-        );
+        let report = run_policy(&engine(EngineKind::ZipServ), &Fcfs, 64, Vec::new());
         assert_eq!(report.latency_percentile(0.99), None);
         assert_eq!(report.ttft_percentile(0.5), None);
         assert_eq!(report.mean_queue_s(), None);
@@ -1476,7 +1454,7 @@ mod tests {
     #[should_panic(expected = "percentile in [0,1]")]
     fn out_of_range_percentile_still_panics() {
         let zip = engine(EngineKind::ZipServ);
-        let report = ContinuousBatcher::new(&zip).run(poisson_arrivals(4.0, 5, 64, 8, 3));
+        let report = zip.serve_online(poisson_arrivals(4.0, 5, 64, 8, 3));
         let _ = report.latency_percentile(1.5);
     }
 
@@ -1487,8 +1465,8 @@ mod tests {
         let arrivals = poisson_arrivals(8.0, 60, 1024, 256, 11);
         let zip = engine(EngineKind::ZipServ);
         let vllm = engine(EngineKind::Vllm);
-        let rz = ContinuousBatcher::new(&zip).run(arrivals.clone());
-        let rv = ContinuousBatcher::new(&vllm).run(arrivals);
+        let rz = zip.serve_online(arrivals.clone());
+        let rv = vllm.serve_online(arrivals);
         assert!(
             rz.throughput_tps > rv.throughput_tps,
             "{} vs {}",
@@ -1504,7 +1482,7 @@ mod tests {
     #[test]
     fn light_load_has_no_queueing() {
         let zip = engine(EngineKind::ZipServ);
-        let report = ContinuousBatcher::new(&zip).run(poisson_arrivals(0.05, 5, 64, 16, 2));
+        let report = zip.serve_online(poisson_arrivals(0.05, 5, 64, 16, 2));
         let q = report.mean_queue_s().expect("completions");
         assert!(q < 0.2, "queue {q}");
     }
@@ -1514,11 +1492,10 @@ mod tests {
         // The full randomized bit-compat check lives in the
         // `schedule_policies` integration suite; this is the fast smoke.
         let zip = engine(EngineKind::ZipServ);
-        let batcher = ContinuousBatcher::new(&zip);
         let arrivals = poisson_arrivals(6.0, 30, 512, 64, 13);
         assert_eq!(
-            batcher.run(arrivals.clone()),
-            batcher.run_reference(arrivals)
+            run_policy(&zip, &Fcfs, 64, arrivals.clone()),
+            run_reference(&zip, 64, arrivals)
         );
     }
 
@@ -1528,7 +1505,6 @@ mod tests {
         // the stable submission order (legacy sorts stably; Fcfs picks the
         // queue head), so reports match even on ties.
         let zip = engine(EngineKind::ZipServ);
-        let batcher = ContinuousBatcher::new(&zip);
         let arrivals = vec![
             Request::new(5, 1.0, 256, 16),
             Request::new(2, 1.0, 128, 32),
@@ -1536,8 +1512,8 @@ mod tests {
             Request::new(1, 1.0, 512, 24),
         ];
         assert_eq!(
-            batcher.run(arrivals.clone()),
-            batcher.run_reference(arrivals)
+            run_policy(&zip, &Fcfs, 64, arrivals.clone()),
+            run_reference(&zip, 64, arrivals)
         );
     }
 

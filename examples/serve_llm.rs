@@ -18,7 +18,7 @@ fn main() {
 
     // Figure 17: the decode-step anatomy at batch 32, context 1024.
     for kind in [EngineKind::Vllm, EngineKind::ZipServ] {
-        let engine = ServingEngine::new(kind, model, cluster);
+        let engine = deploy(kind, model, cluster);
         let step = engine.decode_step(32, 1024);
         let plan = engine.memory_plan();
         println!(
@@ -42,7 +42,7 @@ fn main() {
     for w in Workload::paper_sweep() {
         print!("{:<6} {:>5} |", w.batch, w.output_len);
         for kind in EngineKind::ALL {
-            let r = ServingEngine::new(kind, model, cluster).serve(w);
+            let r = deploy(kind, model, cluster).serve(w);
             print!(" {:>7.1}s {:>6.0}t/s", r.latency_s, r.throughput_tps);
         }
         println!();
@@ -50,8 +50,8 @@ fn main() {
 
     // Headline numbers.
     let w = Workload::new(32, 512, 2048);
-    let zip = ServingEngine::new(EngineKind::ZipServ, model, cluster).serve(w);
-    let vllm = ServingEngine::new(EngineKind::Vllm, model, cluster).serve(w);
+    let zip = deploy(EngineKind::ZipServ, model, cluster).serve(w);
+    let vllm = deploy(EngineKind::Vllm, model, cluster).serve(w);
     println!(
         "\nbatch 32, 2048 output tokens: {:.0} tok/s vs vLLM {:.0} tok/s = {:.2}x \
          (paper: 1105 tok/s, 1.66x)",
@@ -90,4 +90,13 @@ fn main() {
             engine.kv_capacity_tokens(),
         );
     }
+}
+
+/// `kind` serving `model` on `cluster` under the builder defaults.
+fn deploy(kind: EngineKind, model: LlmModel, cluster: GpuCluster) -> ServingEngine {
+    ServingEngine::builder()
+        .kind(kind)
+        .model(model)
+        .cluster(cluster)
+        .build()
 }

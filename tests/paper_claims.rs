@@ -14,6 +14,15 @@ use zipserv::serve::engine::{EngineKind, ServingEngine};
 use zipserv::serve::workload::Workload;
 use zipserv::tbe::TbeCompressor;
 
+/// Builds `kind` serving `model` on `cluster` with the default FCFS policy.
+fn deploy(kind: EngineKind, model: LlmModel, cluster: GpuCluster) -> ServingEngine {
+    ServingEngine::builder()
+        .kind(kind)
+        .model(model)
+        .cluster(cluster)
+        .build()
+}
+
 /// Abstract: "reduces the model size by up to 30%".
 #[test]
 fn claim_model_size_reduction_up_to_30_percent() {
@@ -134,21 +143,21 @@ fn claim_end_to_end_speedups() {
     let cluster = GpuCluster::single(Gpu::Rtx4090);
     let mut vs = [Vec::new(), Vec::new(), Vec::new()];
     for w in Workload::paper_sweep() {
-        let zip = ServingEngine::new(EngineKind::ZipServ, model, cluster)
+        let zip = deploy(EngineKind::ZipServ, model, cluster)
             .serve(w)
             .throughput_tps;
         vs[0].push(
-            zip / ServingEngine::new(EngineKind::Vllm, model, cluster)
+            zip / deploy(EngineKind::Vllm, model, cluster)
                 .serve(w)
                 .throughput_tps,
         );
         vs[1].push(
-            zip / ServingEngine::new(EngineKind::Transformers, model, cluster)
+            zip / deploy(EngineKind::Transformers, model, cluster)
                 .serve(w)
                 .throughput_tps,
         );
         vs[2].push(
-            zip / ServingEngine::new(EngineKind::DFloat11, model, cluster)
+            zip / deploy(EngineKind::DFloat11, model, cluster)
                 .serve(w)
                 .throughput_tps,
         );
@@ -167,8 +176,8 @@ fn claim_end_to_end_speedups() {
 #[test]
 fn claim_memory_savings_become_kv_capacity() {
     let cluster = GpuCluster::single(Gpu::Rtx4090);
-    let zip = ServingEngine::new(EngineKind::ZipServ, LlmModel::Llama31_8b, cluster);
-    let vllm = ServingEngine::new(EngineKind::Vllm, LlmModel::Llama31_8b, cluster);
+    let zip = deploy(EngineKind::ZipServ, LlmModel::Llama31_8b, cluster);
+    let vllm = deploy(EngineKind::Vllm, LlmModel::Llama31_8b, cluster);
     let dw = vllm.memory_plan().weight_bytes as f64 - zip.memory_plan().weight_bytes as f64;
     let dk = zip.memory_plan().kv_bytes as f64 - vllm.memory_plan().kv_bytes as f64;
     assert!(dw > 2.5e9, "weight saving {dw}");

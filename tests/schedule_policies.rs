@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use zipserv::prelude::*;
-use zipserv::serve::scheduler::{poisson_arrivals as poisson, run_policy, ContinuousBatcher};
+use zipserv::serve::scheduler::{poisson_arrivals as poisson, run_policy, run_reference};
 
 fn zip_engine() -> ServingEngine {
     ServingEngine::builder()
@@ -31,9 +31,8 @@ proptest! {
     ) {
         let engine = zip_engine();
         let arrivals = poisson(rate10 as f64 / 10.0, count, prompt, output, seed);
-        let batcher = ContinuousBatcher::new(&engine);
-        let legacy = batcher.run_reference(arrivals.clone());
-        let via_trait = batcher.run(arrivals.clone());
+        let legacy = run_reference(&engine, 64, arrivals.clone());
+        let via_trait = run_policy(&engine, &Fcfs, 64, arrivals.clone());
         let via_builder = engine.serve_online(arrivals);
         prop_assert_eq!(&via_trait, &legacy);
         prop_assert_eq!(&via_builder, &legacy);

@@ -8,6 +8,15 @@ use zipserv::serve::policy::{PriorityClass, SloEdf};
 use zipserv::serve::scheduler::poisson_arrivals;
 use zipserv::serve::workload::{ArrivalMix, Workload};
 
+/// Builds `kind` serving `model` on `cluster` with the default FCFS policy.
+fn deploy(kind: EngineKind, model: LlmModel, cluster: GpuCluster) -> ServingEngine {
+    ServingEngine::builder()
+        .kind(kind)
+        .model(model)
+        .cluster(cluster)
+        .build()
+}
+
 fn deployments() -> Vec<(LlmModel, GpuCluster)> {
     vec![
         (LlmModel::Llama31_8b, GpuCluster::single(Gpu::Rtx4090)),
@@ -25,8 +34,8 @@ fn deployments() -> Vec<(LlmModel, GpuCluster)> {
 #[test]
 fn compressed_engines_always_have_more_kv_headroom() {
     for (model, cluster) in deployments() {
-        let zip = ServingEngine::new(EngineKind::ZipServ, model, cluster);
-        let vllm = ServingEngine::new(EngineKind::Vllm, model, cluster);
+        let zip = deploy(EngineKind::ZipServ, model, cluster);
+        let vllm = deploy(EngineKind::Vllm, model, cluster);
         assert!(
             zip.kv_capacity_tokens() > vllm.kv_capacity_tokens(),
             "{model}"
@@ -41,11 +50,7 @@ fn throughput_ordering_is_stable_across_deployments() {
     for (model, cluster) in deployments() {
         let tput: Vec<f64> = EngineKind::ALL
             .iter()
-            .map(|&k| {
-                ServingEngine::new(k, model, cluster)
-                    .serve(w)
-                    .throughput_tps
-            })
+            .map(|&k| deploy(k, model, cluster).serve(w).throughput_tps)
             .collect();
         assert!(tput[0] > tput[1], "{model}: ZipServ vs vLLM");
         assert!(tput[1] > tput[2], "{model}: vLLM vs Transformers");
@@ -56,7 +61,7 @@ fn throughput_ordering_is_stable_across_deployments() {
 #[test]
 fn kv_pressure_reported_consistently() {
     let cluster = GpuCluster::single(Gpu::Rtx4090);
-    let engine = ServingEngine::new(EngineKind::Vllm, LlmModel::Llama31_8b, cluster);
+    let engine = deploy(EngineKind::Vllm, LlmModel::Llama31_8b, cluster);
     let light = engine.serve(Workload::new(4, 256, 128));
     let heavy = engine.serve(Workload::new(32, 512, 2048));
     assert!(
@@ -71,7 +76,7 @@ fn kv_pressure_reported_consistently() {
 fn prefill_grows_with_prompt_length() {
     let cluster = GpuCluster::single(Gpu::Rtx4090);
     for kind in EngineKind::ALL {
-        let engine = ServingEngine::new(kind, LlmModel::Llama31_8b, cluster);
+        let engine = deploy(kind, LlmModel::Llama31_8b, cluster);
         let short = engine.prefill_ms(8, 128);
         let long = engine.prefill_ms(8, 2048);
         assert!(long > 2.0 * short, "{kind}: {short} -> {long}");
@@ -81,7 +86,7 @@ fn prefill_grows_with_prompt_length() {
 #[test]
 fn decode_step_grows_with_context() {
     let cluster = GpuCluster::single(Gpu::Rtx4090);
-    let engine = ServingEngine::new(EngineKind::ZipServ, LlmModel::Llama31_8b, cluster);
+    let engine = deploy(EngineKind::ZipServ, LlmModel::Llama31_8b, cluster);
     let early = engine.decode_step(16, 256).total_ms();
     let late = engine.decode_step(16, 4096).total_ms();
     assert!(late > early, "attention must grow with the KV cache");
@@ -147,7 +152,7 @@ fn mixed_priority_traffic_still_favors_the_compressed_engine() {
 #[test]
 fn bigger_batches_amortize_weight_reads() {
     let cluster = GpuCluster::single(Gpu::Rtx4090);
-    let engine = ServingEngine::new(EngineKind::ZipServ, LlmModel::Llama31_8b, cluster);
+    let engine = deploy(EngineKind::ZipServ, LlmModel::Llama31_8b, cluster);
     let s8 = engine.decode_step(8, 512).total_ms();
     let s32 = engine.decode_step(32, 512).total_ms();
     // 4x the tokens for well under 4x the time (weights read once).
