@@ -33,6 +33,16 @@ fn bench(c: &mut Criterion) {
     c.bench_function("fig12/zipgemm_blocked_64x64xb32", |b| {
         b.iter(|| kernel.multiply(black_box(&tbe), black_box(&x)));
     });
+
+    // The skinny decode shape against one full NB=16 block on the same
+    // weights: b16/b1 is gated in CI as `blocked_b16_over_b1`, so a 1-wide
+    // pass that drifts back toward full-block cost fails the smoke check.
+    for n in [1usize, 16] {
+        let x = WeightGen::new(0.5).seed(13).matrix(64, n);
+        c.bench_function(&format!("fig12/zipgemm_blocked_64x64xb{n}"), |b| {
+            b.iter(|| kernel.multiply(black_box(&tbe), black_box(&x)));
+        });
+    }
 }
 
 criterion_group! {

@@ -136,7 +136,7 @@ fn main() -> ExitCode {
 
     // (name, current ratio, baseline ratio) — measured-in-the-same-run
     // kernel ratios first, then the deterministic TP-scaling model ratios.
-    let ratio_pairs: [(&str, &str, &str); 5] = [
+    let ratio_pairs: [(&str, &str, &str); 6] = [
         (
             "blocked_vs_naive_fig11_slice",
             "fig11/zipgemm_real_512x4096xb32/naive_reference",
@@ -155,6 +155,14 @@ fn main() -> ExitCode {
             "decode_ns_per_tile",
             "fig12/decode_tile_lanewise",
             "fig12/decode_tile_lut",
+        ),
+        (
+            // One full NB=16 block over a 1-wide decode pass on the same
+            // weights. One-sided: only N=1 drifting back toward full-block
+            // cost is a regression.
+            "blocked_b16_over_b1",
+            "fig12/zipgemm_blocked_64x64xb16",
+            "fig12/zipgemm_blocked_64x64xb1",
         ),
         (
             "tca_tbe_vs_huffman_decomp",

@@ -16,9 +16,16 @@
 //!   that the serial path runs over the whole matrix and each parallel
 //!   worker runs over its strip of tile rows.
 //!
+//! Every column block has a compile-time width. After the full `NB = 16`
+//! blocks, the remaining `n % 16` columns are covered by at most one block
+//! each of width 8, 4 and 2 and one 1-wide per-row dot product. So a
+//! decode step (`n = 1`) costs each tile's decode plus eight dot products,
+//! and a ragged `n` such as 10 runs as an 8-wide block then a 2-wide one;
+//! every FMA loop has a compile-time trip count.
+//!
 //! The bitwise contract (pinned by `tests/fused_correctness.rs`): every
 //! output element accumulates in FP32 in ascending-`k` order. Blocking over
-//! `N` and register-tiling the `FRAG_DIM × NB` panel never reorders the
+//! `N` (full or tail widths) and register-tiling the panel never reorders the
 //! per-element chain of adds — each element still sees its `k` products in
 //! ascending tile order, ascending lane order — so all three paths produce
 //! identical bits.
@@ -123,55 +130,19 @@ pub(crate) fn decode_tile_f32(w: &TbeMatrix, seq: usize) -> [f32; FRAG_ELEMS] {
     out
 }
 
-/// The register-blocked `FRAG_DIM × nb` micro-kernel: for each of the tile's
-/// `FRAG_DIM` rows, accumulates `nb` output columns starting at `col0`
+/// The register-blocked `FRAG_DIM × W` micro-kernel: for each of the tile's
+/// `FRAG_DIM` rows, accumulates the `W` output columns starting at `col0`
 /// against activation rows `k0..k0 + FRAG_DIM`.
 ///
+/// `W` is a compile-time width ([`NB`] for full blocks, 8/4/2 for tails),
+/// so every slice becomes a `[f32; W]` array reference and the FMA loops
+/// have constant trip counts the compiler unrolls and vectorizes.
 /// Accumulators live in a stack array (the "register file"); the `out`
 /// panel is read once before and written once after the `k`-loop, so the
-/// innermost loop is pure FP32 FMA over contiguous slices — no
-/// bounds-checked `Matrix` indexing, no BF16 conversion.
+/// innermost loop is pure FP32 FMA — no bounds-checked `Matrix` indexing,
+/// no BF16 conversion.
 #[inline]
-fn micro_kernel(
-    wf: &[f32; FRAG_ELEMS],
-    x: &ActPanel,
-    k0: usize,
-    out: &mut [f32],
-    n: usize,
-    row0: usize,
-    cols: core::ops::Range<usize>,
-) {
-    let (col0, nb) = (cols.start, cols.len());
-    debug_assert!(nb <= NB);
-    if nb == NB {
-        micro_kernel_full(wf, x, k0, out, n, row0, col0);
-        return;
-    }
-    let mut acc = [[0f32; NB]; FRAG_DIM];
-    for (r, acc_r) in acc.iter_mut().enumerate() {
-        let o = (row0 + r) * n + col0;
-        acc_r[..nb].copy_from_slice(&out[o..o + nb]);
-    }
-    for kk in 0..FRAG_DIM {
-        let xr = &x.row(k0 + kk)[col0..col0 + nb];
-        for (r, acc_r) in acc.iter_mut().enumerate() {
-            let wv = wf[r * FRAG_DIM + kk];
-            for (a, &xv) in acc_r[..nb].iter_mut().zip(xr) {
-                *a += wv * xv;
-            }
-        }
-    }
-    for (r, acc_r) in acc.iter().enumerate() {
-        let o = (row0 + r) * n + col0;
-        out[o..o + nb].copy_from_slice(&acc_r[..nb]);
-    }
-}
-
-/// The full-width specialization: with `nb` fixed at `NB`, every slice
-/// becomes a `[f32; NB]` array reference and the FMA loops have constant
-/// trip counts, so the compiler unrolls and vectorizes them.
-#[inline]
-fn micro_kernel_full(
+fn block<const W: usize>(
     wf: &[f32; FRAG_ELEMS],
     x: &ActPanel,
     k0: usize,
@@ -180,15 +151,15 @@ fn micro_kernel_full(
     row0: usize,
     col0: usize,
 ) {
-    let mut acc = [[0f32; NB]; FRAG_DIM];
+    let mut acc = [[0f32; W]; FRAG_DIM];
     for (r, acc_r) in acc.iter_mut().enumerate() {
         let o = (row0 + r) * n + col0;
-        *acc_r = out[o..o + NB].try_into().expect("NB-wide block");
+        *acc_r = out[o..o + W].try_into().expect("W-wide block");
     }
     for kk in 0..FRAG_DIM {
-        let xr: &[f32; NB] = x.row(k0 + kk)[col0..col0 + NB]
+        let xr: &[f32; W] = x.row(k0 + kk)[col0..col0 + W]
             .try_into()
-            .expect("NB-wide block");
+            .expect("W-wide block");
         for (r, acc_r) in acc.iter_mut().enumerate() {
             let wv = wf[r * FRAG_DIM + kk];
             for (a, &xv) in acc_r.iter_mut().zip(xr) {
@@ -198,13 +169,43 @@ fn micro_kernel_full(
     }
     for (r, acc_r) in acc.iter().enumerate() {
         let o = (row0 + r) * n + col0;
-        out[o..o + NB].copy_from_slice(acc_r);
+        out[o..o + W].copy_from_slice(acc_r);
+    }
+}
+
+/// The 1-wide tail: column `col` of the output tile as `FRAG_DIM`
+/// per-row dot products. The activation column is gathered once, then the
+/// eight row chains advance together in ascending `k`, so each step issues
+/// eight independent adds.
+#[inline]
+fn column(
+    wf: &[f32; FRAG_ELEMS],
+    x: &ActPanel,
+    k0: usize,
+    out: &mut [f32],
+    n: usize,
+    row0: usize,
+    col: usize,
+) {
+    let xc: [f32; FRAG_DIM] = core::array::from_fn(|kk| x.row(k0 + kk)[col]);
+    let mut acc: [f32; FRAG_DIM] = core::array::from_fn(|r| out[(row0 + r) * n + col]);
+    for (kk, &xv) in xc.iter().enumerate() {
+        for (r, a) in acc.iter_mut().enumerate() {
+            *a += wf[r * FRAG_DIM + kk] * xv;
+        }
+    }
+    for (r, a) in acc.iter().enumerate() {
+        out[(row0 + r) * n + col] = *a;
     }
 }
 
 /// Computes the output strip for tile rows `start_tr..end_tr` into `out`
 /// (row-major `(end_tr - start_tr) * FRAG_DIM × n`, pre-zeroed or holding
 /// partial sums), decoding each FragTile exactly once.
+///
+/// Columns are covered by full [`NB`]-wide blocks, then by at most one
+/// block each of width 8, 4 and 2 and one [`column`] — the binary digits
+/// of the remainder — so every `n` runs on const-width kernels only.
 ///
 /// Degenerate inputs — zero-column activations or an empty strip (a worker
 /// assigned past the end of the tile rows) — are no-ops.
@@ -221,16 +222,31 @@ pub(crate) fn compute_strip(
         return;
     }
     debug_assert_eq!(out.len(), (end_tr - start_tr) * FRAG_DIM * n);
+    let full = n - n % NB;
+    let tail = n % NB;
     for tr in start_tr..end_tr {
         let row0 = (tr - start_tr) * FRAG_DIM;
         for tk in 0..seq.tiles_k() {
             let wf = decode_tile_f32(w, seq.seq(tr, tk));
             let k0 = tk * FRAG_DIM;
-            let mut col0 = 0;
-            while col0 < n {
-                let nb = NB.min(n - col0);
-                micro_kernel(&wf, x, k0, out, n, row0, col0..col0 + nb);
-                col0 += nb;
+            for col0 in (0..full).step_by(NB) {
+                block::<NB>(&wf, x, k0, out, n, row0, col0);
+            }
+            let mut col0 = full;
+            if tail & 8 != 0 {
+                block::<8>(&wf, x, k0, out, n, row0, col0);
+                col0 += 8;
+            }
+            if tail & 4 != 0 {
+                block::<4>(&wf, x, k0, out, n, row0, col0);
+                col0 += 4;
+            }
+            if tail & 2 != 0 {
+                block::<2>(&wf, x, k0, out, n, row0, col0);
+                col0 += 2;
+            }
+            if tail & 1 != 0 {
+                column(&wf, x, k0, out, n, row0, col0);
             }
         }
     }

@@ -344,18 +344,24 @@ mod tests {
 
     #[test]
     fn blocked_matches_reference_across_n_block_boundaries() {
-        // Column counts straddling the NB=16 micro-kernel width: ragged
-        // trailing blocks, exact fits, and single columns.
+        // Every column count from 1 to 40: each combination of full NB=16
+        // blocks and 8/4/2/1-wide tails, serial and parallel, bitwise.
         let w = WeightGen::new(0.02)
             .seed(41)
             .outliers(0.04, 25.0)
             .matrix(72, 80);
         let tbe = TbeCompressor::new().compress(&w).unwrap();
-        for n in [1usize, 2, 7, 15, 16, 17, 31, 32, 33, 48] {
+        let kernel = ZipGemm::new();
+        let bits = |y: Matrix<f32>| y.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for n in 1usize..=40 {
             let x = WeightGen::new(0.6).seed(42 + n as u64).matrix(80, n);
-            let blocked = ZipGemm::new().multiply(&tbe, &x);
-            let naive = ZipGemm::new().multiply_reference(&tbe, &x);
-            assert_eq!(blocked.as_slice(), naive.as_slice(), "n={n}");
+            let naive = bits(kernel.multiply_reference(&tbe, &x));
+            assert_eq!(bits(kernel.multiply(&tbe, &x)), naive, "n={n}");
+            assert_eq!(
+                bits(kernel.multiply_parallel(&tbe, &x, 4)),
+                naive,
+                "parallel n={n}"
+            );
         }
     }
 

@@ -703,6 +703,13 @@ impl PrefixRegistry {
         self.stats
     }
 
+    /// Requests currently holding a fork of a cached prefix. Zero once
+    /// every request has completed or been rejected (leak tests).
+    #[cfg(test)]
+    pub(crate) fn forks_held(&self) -> usize {
+        self.children.len()
+    }
+
     /// Read-only view of the overlay shards (leak tests).
     pub fn shards(&self) -> &KvShards {
         &self.shards

@@ -852,12 +852,9 @@ impl<'a> ReplicaSim<'a> {
             && cand.retries == 0
             && cand.req.priority == PriorityClass::Batch
         {
-            self.rejections.push(Rejection {
-                id: cand.req.id,
-                reason: RejectReason::BrownoutShed,
-            });
-            self.faults.rob.shed += 1;
             self.queue.remove(pick);
+            self.reject(cand.req.id, RejectReason::BrownoutShed);
+            self.faults.rob.shed += 1;
             return true;
         }
 
@@ -1575,5 +1572,55 @@ mod tests {
                 assert!(c.ttft_s > 0.0 && c.ttft_s <= c.latency_s, "{}", p.name());
             }
         }
+    }
+
+    #[test]
+    fn brownout_shed_releases_prefix_forks() {
+        // A Batch request that hit a cached prefix, got preempted and is
+        // then shed by the brownout must drop its fork like every other
+        // terminal path: at run end the registry holds no fork at all.
+        use crate::workload::ArrivalMix;
+        let engine = ServingEngine::builder()
+            .model(LlmModel::Llama31_8b)
+            .cluster(GpuCluster::single(Gpu::Rtx4090))
+            .prefix_caching(true)
+            .build();
+        let retry = RetryPolicy::default();
+        let policies: [&dyn SchedulePolicy; 3] = [
+            &Fcfs,
+            &PreemptiveSjf::default(),
+            &PreemptiveSjf {
+                mode: PreemptionMode::PageOut,
+            },
+        ];
+        let (mut shed, mut shed_after_preemption) = (0, 0);
+        for seed in 0..8 {
+            let arrivals = ArrivalMix::multi_tenant_mix().generate(6.0, 160, seed);
+            let plan = FaultPlan::seeded(seed, 25.0, 1);
+            for &policy in &policies {
+                let mut sim = ReplicaSim::new(&engine, policy, 64, arrivals.clone(), &plan, &retry);
+                let mut preempted = HashSet::new();
+                while sim.round() {
+                    preempted.extend(
+                        sim.queue
+                            .iter()
+                            .filter(|q| q.preemptions > 0)
+                            .map(|q| q.req.id),
+                    );
+                }
+                let registry = sim.registry.as_ref().expect("caching on");
+                assert_eq!(registry.forks_held(), 0, "seed {seed}, {}", policy.name());
+                for r in &sim.rejections {
+                    if r.reason == RejectReason::BrownoutShed {
+                        shed += 1;
+                        shed_after_preemption += usize::from(preempted.contains(&r.id));
+                    }
+                }
+            }
+        }
+        assert!(
+            shed_after_preemption > 0,
+            "{shed} sheds, none preempted first"
+        );
     }
 }

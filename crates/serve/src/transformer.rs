@@ -9,6 +9,23 @@
 //! attention, SwiGLU) is computed identically in `f32`, the *logits of the
 //! compressed model equal the dense model's bit for bit* — the property the
 //! paper's "lossless" claim rests on, which no lossy quantizer can offer.
+//!
+//! # Incremental decode
+//!
+//! [`TinyLlm::forward`] and [`TinyLlm::generate`] share one step: it runs
+//! new token columns after the positions already in a per-layer KV cache
+//! and appends the new positions' K/V rows to it. `forward` is one step on
+//! an empty cache; `generate` prefills the prompt in one step, then runs
+//! one-column steps — the skinny `N = 1` GEMMs of a decode phase — and
+//! applies the final norm and LM head to the last column only.
+//!
+//! Cached decoding equals full recompute bit for bit, by construction.
+//! The GEMM (every output element accumulates its `k` products in
+//! ascending order, whatever the column count), RMSNorm, SwiGLU and the
+//! residual add all work per column, so a position's activations do not
+//! depend on which other columns share its step. Attention for position
+//! `t` reads the same BF16 K/V rows, in the same order `0..=t`, whether
+//! they were cached by an earlier step or produced in this one.
 
 use zipserv_bf16::{Bf16, Matrix};
 use zipserv_core::{TbeCompressor, TbeError, ZipGemm};
@@ -181,6 +198,58 @@ impl TinyLlm {
     ///
     /// Panics if `tokens` is empty or contains out-of-vocab ids.
     pub fn forward(&self, tokens: &[u32]) -> Matrix<f32> {
+        let x = self.step(&mut self.empty_cache(), tokens);
+        self.lm_head.forward(&rmsnorm(&x, &self.final_norm))
+    }
+
+    /// Greedy decoding: appends `new_tokens` tokens to the prompt.
+    ///
+    /// The prompt is prefilled once into a KV cache; every later token is
+    /// a one-column step over the cache. The final norm and the LM head
+    /// run on the last column only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `new_tokens > 0` and the prompt is empty or contains
+    /// out-of-vocab ids.
+    pub fn generate(&self, prompt: &[u32], new_tokens: usize) -> Vec<u32> {
+        let mut tokens = prompt.to_vec();
+        let mut cache = self.empty_cache();
+        // Tokens before `cached` have their K/V rows in the cache.
+        let mut cached = 0;
+        for _ in 0..new_tokens {
+            let logits = self.last_logits(&mut cache, &tokens[cached..]);
+            cached = tokens.len();
+            let mut best = (0u32, f32::NEG_INFINITY);
+            for (v, &l) in logits.as_slice().iter().enumerate() {
+                if l > best.1 {
+                    best = (v as u32, l);
+                }
+            }
+            tokens.push(best.0);
+        }
+        tokens
+    }
+
+    /// A KV cache holding no positions.
+    fn empty_cache(&self) -> Vec<LayerKv> {
+        vec![LayerKv::default(); self.blocks.len()]
+    }
+
+    /// Runs `tokens` as one step after the cached positions and returns the
+    /// logits (`vocab × 1`) of the last one.
+    fn last_logits(&self, cache: &mut [LayerKv], tokens: &[u32]) -> Matrix<f32> {
+        let x = self.step(cache, tokens);
+        let last = x.cols() - 1;
+        let x = Matrix::from_fn(x.rows(), 1, |d, _| x[(d, last)]);
+        self.lm_head.forward(&rmsnorm(&x, &self.final_norm))
+    }
+
+    /// Runs new token columns through every block after the cached
+    /// positions (one [`LayerKv`] per block), appending their K/V rows to
+    /// the cache, and returns the final hidden states (`hidden ×
+    /// tokens.len()`, before the final norm).
+    fn step(&self, cache: &mut [LayerKv], tokens: &[u32]) -> Matrix<Bf16> {
         assert!(!tokens.is_empty(), "need at least one token");
         let (h, seq) = (self.config.hidden, tokens.len());
         // Activations are column-per-token: hidden × seq.
@@ -195,11 +264,12 @@ impl TinyLlm {
             }
         }
 
-        for block in &self.blocks {
+        for (block, kv) in self.blocks.iter().zip(cache) {
             // Attention sub-block with pre-norm and residual.
             let normed = rmsnorm(&x, &block.norm1);
             let qkv = to_bf16(&block.qkv.forward(&normed));
-            let attn = self.attention(&qkv, seq);
+            kv.append(&qkv, h);
+            let attn = self.attention(&qkv, kv);
             let attn_out = block.o.forward(&attn);
             let x1 = residual_add(&x, &attn_out);
 
@@ -210,52 +280,35 @@ impl TinyLlm {
             let ffn_out = block.down.forward(&activated);
             x = residual_add(&x1, &ffn_out);
         }
-
-        let normed = rmsnorm(&x, &self.final_norm);
-        self.lm_head.forward(&normed)
+        x
     }
 
-    /// Greedy decoding: appends `new_tokens` tokens to the prompt.
-    pub fn generate(&self, prompt: &[u32], new_tokens: usize) -> Vec<u32> {
-        let mut tokens = prompt.to_vec();
-        for _ in 0..new_tokens {
-            let logits = self.forward(&tokens);
-            let last = tokens.len() - 1;
-            let mut best = (0u32, f32::NEG_INFINITY);
-            for v in 0..self.config.vocab {
-                let l = logits[(v, last)];
-                if l > best.1 {
-                    best = (v as u32, l);
-                }
-            }
-            tokens.push(best.0);
-        }
-        tokens
-    }
-
-    /// Causal multi-head attention over the merged QKV activations
-    /// (`3·hidden × seq`). Softmax in `f64` for determinism headroom, then
-    /// rounded through `f32`.
-    fn attention(&self, qkv: &Matrix<Bf16>, seq: usize) -> Matrix<Bf16> {
+    /// Causal multi-head attention for the new columns of the merged QKV
+    /// activations (`3·hidden × new`), whose K/V rows `kv` already holds
+    /// after every earlier position. Softmax in `f64` for determinism
+    /// headroom, then rounded through `f32`.
+    fn attention(&self, qkv: &Matrix<Bf16>, kv: &LayerKv) -> Matrix<Bf16> {
         let (h, heads, hd) = (
             self.config.hidden,
             self.config.heads,
             self.config.head_dim(),
         );
+        let new = qkv.cols();
+        let past = kv.positions(h) - new;
         let scale = 1.0 / (hd as f64).sqrt();
-        let mut out = Matrix::<Bf16>::zeros(h, seq);
+        let mut out = Matrix::<Bf16>::zeros(h, new);
         for head in 0..heads {
             let q0 = head * hd;
-            let k0 = h + head * hd;
-            let v0 = 2 * h + head * hd;
-            for t in 0..seq {
+            for j in 0..new {
+                let t = past + j;
                 // Scores over positions 0..=t (causal).
                 let mut scores = Vec::with_capacity(t + 1);
                 let mut max = f64::NEG_INFINITY;
                 for s in 0..=t {
+                    let k = kv.k_row(s, h);
                     let mut dot = 0.0f64;
                     for d in 0..hd {
-                        dot += qkv[(q0 + d, t)].to_f32() as f64 * qkv[(k0 + d, s)].to_f32() as f64;
+                        dot += qkv[(q0 + d, j)].to_f32() as f64 * k[q0 + d].to_f32() as f64;
                     }
                     let score = dot * scale;
                     max = max.max(score);
@@ -269,13 +322,45 @@ impl TinyLlm {
                 for d in 0..hd {
                     let mut acc = 0.0f64;
                     for (s, w) in scores.iter().enumerate() {
-                        acc += w / denom * qkv[(v0 + d, s)].to_f32() as f64;
+                        acc += w / denom * kv.v_row(s, h)[q0 + d].to_f32() as f64;
                     }
-                    out[(q0 + d, t)] = Bf16::from_f32(acc as f32);
+                    out[(q0 + d, j)] = Bf16::from_f32(acc as f32);
                 }
             }
         }
         out
+    }
+}
+
+/// One layer's KV cache: the K and V rows of every position run so far,
+/// one `hidden`-wide BF16 row per position, exactly the values the layer's
+/// QKV projection produced for it. A step attends over these instead of
+/// recomputing earlier positions.
+#[derive(Debug, Clone, Default)]
+struct LayerKv {
+    k: Vec<Bf16>,
+    v: Vec<Bf16>,
+}
+
+impl LayerKv {
+    /// Appends the K/V rows of every column of `qkv` (`3·h × new`).
+    fn append(&mut self, qkv: &Matrix<Bf16>, h: usize) {
+        for t in 0..qkv.cols() {
+            self.k.extend((h..2 * h).map(|r| qkv[(r, t)]));
+            self.v.extend((2 * h..3 * h).map(|r| qkv[(r, t)]));
+        }
+    }
+
+    fn positions(&self, h: usize) -> usize {
+        self.k.len() / h
+    }
+
+    fn k_row(&self, s: usize, h: usize) -> &[Bf16] {
+        &self.k[s * h..(s + 1) * h]
+    }
+
+    fn v_row(&self, s: usize, h: usize) -> &[Bf16] {
+        &self.v[s * h..(s + 1) * h]
     }
 }
 
@@ -375,6 +460,30 @@ mod tests {
         for v in 0..model.config().vocab {
             assert_eq!(full[(v, 0)].to_bits(), prefix[(v, 0)].to_bits());
             assert_eq!(full[(v, 1)].to_bits(), prefix[(v, 1)].to_bits());
+        }
+    }
+
+    #[test]
+    fn cached_step_logits_equal_full_forward_bits() {
+        // Steps of mixed widths over a growing cache: the last column of
+        // each must carry the bits `forward` gives that position.
+        let tokens = [7u32, 3, 250, 9, 0, 128, 64, 5, 31, 200, 17, 99];
+        for compressed in [false, true] {
+            let mut model = TinyLlm::random(TinyConfig::small(), 13);
+            if compressed {
+                model.compress_weights().expect("tileable layers");
+            }
+            let mut cache = model.empty_cache();
+            let mut end = 0;
+            for width in [3, 1, 1, 5, 1, 1] {
+                let step = model.last_logits(&mut cache, &tokens[end..end + width]);
+                end += width;
+                let full = model.forward(&tokens[..end]);
+                for v in 0..model.config().vocab {
+                    assert_eq!(step[(v, 0)].to_bits(), full[(v, end - 1)].to_bits());
+                }
+            }
+            assert_eq!(end, tokens.len());
         }
     }
 

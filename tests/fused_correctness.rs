@@ -43,16 +43,16 @@ proptest! {
     fn blocked_parallel_and_reference_agree_bitwise(
         tm in 1usize..6,
         tk in 1usize..5,
-        n in 0usize..34,
         threads in 1usize..9,
         outlier_mod in 5u64..40,
         seed in any::<u64>(),
     ) {
         // The serial blocked path, the parallel blocked path (including
         // thread counts that do not divide the tile rows) and the naive
-        // reference must agree bit for bit across random shapes — n spans
-        // zero columns through several NB micro-kernel blocks — and random
-        // coverages (outlier_mod controls the fallback-path density).
+        // reference must agree bit for bit across random shapes and random
+        // coverages (outlier_mod controls the fallback-path density). Every
+        // n from zero columns to 40 runs, so each combination of the
+        // 16/8/4/2/1-wide column blocks is covered.
         let (m, k) = (tm * 8, tk * 8);
         let mut rng_state = seed | 1;
         let mut next = move || {
@@ -67,22 +67,24 @@ proptest! {
             let scale = if v % outlier_mod == 0 { 300.0 } else { 0.1 };
             Bf16::from_f32(unit(v) * scale)
         });
-        let x = Matrix::from_fn(k, n, |_, _| Bf16::from_f32(unit(next()) * 2.0));
-
         let tbe = TbeCompressor::new().compress(&w).expect("tileable");
         let kernel = ZipGemm::new();
-        let blocked = kernel.multiply(&tbe, &x);
-        let reference = kernel.multiply_reference(&tbe, &x);
-        let parallel = kernel.multiply_parallel(&tbe, &x, threads);
-        prop_assert_eq!((blocked.rows(), blocked.cols()), (m, n));
-        for ((a, b), c) in blocked
-            .as_slice()
-            .iter()
-            .zip(reference.as_slice())
-            .zip(parallel.as_slice())
-        {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-            prop_assert_eq!(a.to_bits(), c.to_bits());
+        for n in 0..=40 {
+            let x = Matrix::from_fn(k, n, |_, _| Bf16::from_f32(unit(next()) * 2.0));
+            let blocked = kernel.multiply(&tbe, &x);
+            let reference = kernel.multiply_reference(&tbe, &x);
+            let parallel = kernel.multiply_parallel(&tbe, &x, threads);
+            prop_assert_eq!((blocked.rows(), blocked.cols()), (m, n));
+            prop_assert_eq!((parallel.rows(), parallel.cols()), (m, n));
+            for ((a, b), c) in blocked
+                .as_slice()
+                .iter()
+                .zip(reference.as_slice())
+                .zip(parallel.as_slice())
+            {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "n={}", n);
+                prop_assert_eq!(a.to_bits(), c.to_bits(), "n={}", n);
+            }
         }
     }
 
