@@ -4,17 +4,22 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use zipserv_bench::figures;
 use zipserv_bf16::gen::WeightGen;
-use zipserv_core::decompress::{decode_tile_lanewise, decode_tile_lut, decode_tile_simd};
+use zipserv_core::decompress::{
+    decode_tile_lanewise, decode_tile_lut, decode_tile_simd, host_decode_path,
+};
 use zipserv_core::{TbeCompressor, ZipGemm};
 
 fn bench(c: &mut Criterion) {
     println!("{}", figures::fig12());
+    // Which decoder `decode_tile_simd` and the blocked ZipGEMM ran on this
+    // host, so a recorded baseline names it.
+    println!("FIG12_DECODE path={}", host_decode_path());
     let w = WeightGen::new(0.018).seed(12).matrix(64, 64);
     let tbe = TbeCompressor::new().compress(&w).expect("tileable");
     c.bench_function("fig12/decode_tile_lanewise", |b| {
         b.iter(|| decode_tile_lanewise(black_box(tbe.tile_view(0)), tbe.base_exp()));
     });
-    // The table-driven and plane-sliced decoders race the same tile; the
+    // The table-driven and hardware decoders race the same tile; the
     // lanewise/LUT ratio is gated in CI as `decode_ns_per_tile`.
     c.bench_function("fig12/decode_tile_lut", |b| {
         b.iter(|| decode_tile_lut(black_box(tbe.tile_view(0)), tbe.base_exp()));

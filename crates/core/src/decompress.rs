@@ -7,15 +7,23 @@
 //!   Tensor-Core fragment slot using (1) the spatial indicator `B1|B2|B3`,
 //!   (2) popcount dynamic addressing, and (3) implicit base-plus-code
 //!   exponent lookup. It is the bit-exactness reference.
-//! * [`decode_tile_lut`] is the table-driven hot path: the precomputed
-//!   [`SPREAD`] lookup table turns the per-element plane extraction into
-//!   branch-free table reads over 8-bit indicator windows (the pLUTo
-//!   LUT-for-logic transform applied on CPU), and an ascending bit-scan
-//!   scatter replaces per-element popcount addressing.
-//! * [`decode_tile_simd`] is a plane-sliced variant that decodes all 64
-//!   elements in whole-array passes (code spread, prefix addressing,
-//!   exponent add, gather/select) so the compiler can autovectorize each
-//!   pass independently.
+//! * [`decode_tile_lut`] is the portable table-driven decoder: the
+//!   precomputed [`SPREAD`] lookup table turns the per-element plane
+//!   extraction into branch-free table reads over 8-bit indicator windows
+//!   (the pLUTo LUT-for-logic transform applied on CPU), and an ascending
+//!   bit-scan scatter replaces per-element popcount addressing.
+//! * [`decode_tile_simd`] is the hardware decoder. On x86-64 CPUs with
+//!   AVX-512 F+BW+VBMI2 it decodes all 64 lanes at once: `vpexpandb` /
+//!   `vpexpandw` expand-load the two value buffers along the indicator
+//!   (popcount-prefix addressing as one instruction per buffer half),
+//!   three mask-moves build the codes, and a saturating byte add computes
+//!   the exponents before a blend picks each lane's path. Elsewhere it is
+//!   [`decode_tile_lut`]. The CPU features are detected once per process
+//!   ([`host_decode_path`] names the result); nothing else selects it.
+//!
+//! The same hardware core also writes the ZipGEMM `f32` panel directly
+//! (each element's BF16 bits shifted left by 16, the exact widening), and
+//! [`decompress`] runs on it too.
 //!
 //! **Exponent contract:** the reconstructed exponent is
 //! `base_exp.saturating_add(c)`. Valid encodings can never exceed 255
@@ -26,13 +34,12 @@
 //! that decodes to a plausible-looking wrong value. All three paths apply
 //! the identical rule.
 //!
-//! [`decompress`] applies the LUT path across the whole matrix. A per-tile
-//! [`DecodeCost`] records the instruction mix the GPU model prices, one
-//! mix per [`DecodePath`].
+//! A per-tile [`DecodeCost`] records the instruction mix the GPU model
+//! prices, one mix per [`DecodePath`].
 
 use crate::format::fragment::{fallback_index, high_freq_index, lane_positions, LANES};
-use crate::format::layout::{block_sequence, TbeMatrix, TileView};
-use crate::format::FRAG_ELEMS;
+use crate::format::layout::{TbeMatrix, TileView};
+use crate::format::{FRAG_DIM, FRAG_ELEMS};
 use zipserv_bf16::{Bf16, Matrix};
 
 /// Windows per FragTile: the 64-bit indicator is consumed as 8 bytes.
@@ -54,32 +61,10 @@ const fn build_spread() -> [u64; 256] {
     table
 }
 
-const fn build_prefix() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut byte = 0usize;
-    while byte < 256 {
-        let mut packed = 0u32;
-        let mut bit = 0;
-        while bit < 8 {
-            let below = (byte & ((1usize << bit) - 1)).count_ones();
-            packed |= below << (4 * bit);
-            bit += 1;
-        }
-        table[byte] = packed;
-        byte += 1;
-    }
-    table
-}
-
 /// Bit-spread table: bit `j` of the index byte lands in bit `8*j` (the low
 /// bit of byte `j`) of the result. ORing three shifted spreads reconstructs
 /// all eight 3-bit codewords of one indicator window in three table reads.
 pub static SPREAD: [u64; 256] = build_spread();
-
-/// Packed prefix-popcount table: nibble `j` of `PREFIX[b]` is the popcount
-/// of the low `j` bits of `b` — the within-window half of popcount dynamic
-/// addressing, as a single table read instead of eight masked popcounts.
-pub static PREFIX: [u32; 256] = build_prefix();
 
 /// Decodes one FragTile exactly as a warp would: lane by lane, register
 /// pair by register pair.
@@ -123,7 +108,7 @@ pub fn decode_tile_lanewise(view: TileView<'_>, base_exp: u8) -> [Bf16; FRAG_ELE
 #[inline]
 fn decode_all_fallback(view: TileView<'_>) -> [Bf16; FRAG_ELEMS] {
     let mut out = [Bf16::ZERO; FRAG_ELEMS];
-    for (slot, &bits) in out.iter_mut().zip(view.fallback.iter()) {
+    for (slot, &bits) in out.iter_mut().zip(&view.fallback[..FRAG_ELEMS]) {
         *slot = Bf16::from_bits(bits);
     }
     out
@@ -134,6 +119,7 @@ fn decode_all_fallback(view: TileView<'_>) -> [Bf16; FRAG_ELEMS] {
 #[inline]
 fn decode_all_high_freq(view: TileView<'_>, base_exp: u8) -> [Bf16; FRAG_ELEMS] {
     let [b0, b1, b2] = *view.bitmaps;
+    let hf = &view.high_freq[..FRAG_ELEMS];
     let mut out = [Bf16::ZERO; FRAG_ELEMS];
     for w in 0..WINDOWS {
         let codes = (SPREAD[(b0 >> (8 * w)) as u8 as usize]
@@ -142,14 +128,15 @@ fn decode_all_high_freq(view: TileView<'_>, base_exp: u8) -> [Bf16; FRAG_ELEMS] 
             .to_le_bytes();
         for (j, &c) in codes.iter().enumerate() {
             let p = 8 * w + j;
-            out[p] = Bf16::from_packed(view.high_freq[p], base_exp.saturating_add(c));
+            out[p] = Bf16::from_packed(hf[p], base_exp.saturating_add(c));
         }
     }
     out
 }
 
-/// Table-driven FragTile decode: the hot path selected by the blocked
-/// ZipGEMM and [`decompress`].
+/// Table-driven FragTile decode: the portable path the blocked ZipGEMM,
+/// [`decompress`] and [`decode_tile_simd`] fall back to on CPUs without the
+/// hardware decoder.
 ///
 /// Per 8-bit indicator window, three [`SPREAD`] reads reconstruct all eight
 /// 3-bit codewords at once — the plane extraction becomes three table reads
@@ -209,76 +196,206 @@ pub fn decode_tile_lut(view: TileView<'_>, base_exp: u8) -> [Bf16; FRAG_ELEMS] {
     out
 }
 
-/// Plane-sliced FragTile decode: all 64 elements in SIMD-friendly passes.
-///
-/// Instead of finishing each element before starting the next, four
-/// whole-tile passes each touch every element once — (1) bitmask spread of
-/// the three planes into a byte-per-element code array, (2) popcount-prefix
-/// addressing for all positions, (3) the saturating exponent add, and
-/// (4) the dual gather + select. Each pass is a straight-line loop over
-/// fixed 64-element arrays, the layout autovectorizers want. Bitwise
-/// identical to [`decode_tile_lanewise`] for every valid tile view.
-pub fn decode_tile_simd(view: TileView<'_>, base_exp: u8) -> [Bf16; FRAG_ELEMS] {
-    let [b0, b1, b2] = *view.bitmaps;
-    let indicator = b0 | b1 | b2;
-    if indicator == 0 {
-        return decode_all_fallback(view);
-    }
-    if indicator == u64::MAX {
-        return decode_all_high_freq(view, base_exp);
-    }
+/// Where a decode writes its 64 row-major elements: a BF16 tile, or the
+/// ZipGEMM `f32` panel (each element's bits shifted left by 16, which is
+/// exactly `Bf16::to_f32`).
+pub(crate) enum TileOut<'a> {
+    Bf16(&'a mut [Bf16; FRAG_ELEMS]),
+    F32(&'a mut [f32; FRAG_ELEMS]),
+}
 
-    // Pass 1: spread the three bit planes into one code byte per element.
-    let mut codes = [0u8; FRAG_ELEMS];
-    for w in 0..WINDOWS {
-        let spread = SPREAD[(b0 >> (8 * w)) as u8 as usize]
-            | (SPREAD[(b1 >> (8 * w)) as u8 as usize] << 1)
-            | (SPREAD[(b2 >> (8 * w)) as u8 as usize] << 2);
-        codes[8 * w..8 * w + 8].copy_from_slice(&spread.to_le_bytes());
-    }
-
-    // Pass 2: popcount-prefix addressing for every position.
-    let mut hf_idx = [0u8; FRAG_ELEMS];
-    let mut running = 0u32;
-    for w in 0..WINDOWS {
-        let ind8 = (indicator >> (8 * w)) as u8;
-        let prefix = PREFIX[ind8 as usize];
-        for j in 0..8 {
-            hf_idx[8 * w + j] = (running + ((prefix >> (4 * j)) & 0xF)) as u8;
+impl TileOut<'_> {
+    /// Writes an already-decoded tile.
+    fn write(self, tile: &[Bf16; FRAG_ELEMS]) {
+        match self {
+            TileOut::Bf16(out) => *out = *tile,
+            TileOut::F32(out) => {
+                for (o, v) in out.iter_mut().zip(tile) {
+                    *o = v.to_f32();
+                }
+            }
         }
-        running += ind8.count_ones();
     }
+}
 
-    // Pass 3: implicit exponent lookup (saturating add, branch-free).
-    let mut exps = [0u8; FRAG_ELEMS];
-    for (e, &c) in exps.iter_mut().zip(codes.iter()) {
-        *e = base_exp.saturating_add(c);
+/// Decodes one FragTile into `out` on the host's decoder: the AVX-512
+/// core when the CPU has F+BW+VBMI2, [`decode_tile_lut_into`] otherwise.
+///
+/// # Panics
+///
+/// Panics (like [`decode_tile_lut`]) if a value buffer is shorter than the
+/// indicator's population count demands.
+pub(crate) fn decode_tile_into(view: TileView<'_>, base_exp: u8, out: TileOut<'_>) {
+    #[cfg(target_arch = "x86_64")]
+    if avx512::available() {
+        let [b0, b1, b2] = *view.bitmaps;
+        let n_hf = (b0 | b1 | b2).count_ones() as usize;
+        let hf = &view.high_freq[..n_hf];
+        let fb = &view.fallback[..FRAG_ELEMS - n_hf];
+        // SAFETY: `available()` detected AVX-512 F, BW and VBMI2 on this
+        // CPU, and the slicing above (which panics otherwise) proves `hf`
+        // holds the `popcount(indicator)` bytes and `fb` the
+        // `64 - popcount(indicator)` values the expand-loads read.
+        unsafe { avx512::decode(view.bitmaps, hf, fb, base_exp, out) };
+        return;
     }
+    decode_tile_lut_into(view, base_exp, out);
+}
 
-    // Pass 4: dual gather + select (mixed tile: both buffers non-empty).
-    let hf_last = view.high_freq.len() - 1;
-    let fb_last = view.fallback.len() - 1;
+/// The portable half of [`decode_tile_into`]: [`decode_tile_lut`], then a
+/// copy (or the BF16→f32 widening) into `out`.
+pub(crate) fn decode_tile_lut_into(view: TileView<'_>, base_exp: u8, out: TileOut<'_>) {
+    out.write(&decode_tile_lut(view, base_exp));
+}
+
+/// The decoder [`decode_tile_simd`], [`decompress`] and the ZipGEMM panel
+/// run on this host: `"avx512vbmi2"` or `"lut"`. Detected once per process
+/// from the CPU's features.
+pub fn host_decode_path() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if avx512::available() {
+        return "avx512vbmi2";
+    }
+    "lut"
+}
+
+/// Hardware FragTile decode: all 64 lanes in a handful of AVX-512
+/// instructions on CPUs with F+BW+VBMI2, [`decode_tile_lut`] elsewhere.
+///
+/// Constant-time like the GPU kernel: no branch on the indicator, no
+/// degenerate-tile special cases. Bitwise identical to
+/// [`decode_tile_lanewise`] for every valid tile view.
+///
+/// # Panics
+///
+/// Panics (like the other paths) if a value buffer is shorter than the
+/// indicator's population count demands; it never reads past a slice.
+pub fn decode_tile_simd(view: TileView<'_>, base_exp: u8) -> [Bf16; FRAG_ELEMS] {
     let mut out = [Bf16::ZERO; FRAG_ELEMS];
-    for p in 0..FRAG_ELEMS {
-        let hf = (hf_idx[p] as usize).min(hf_last);
-        let fb = (p - hf_idx[p] as usize).min(fb_last);
-        let hf_val = Bf16::from_packed(view.high_freq[hf], exps[p]);
-        let fb_val = Bf16::from_bits(view.fallback[fb]);
-        out[p] = if codes[p] != 0 { hf_val } else { fb_val };
-    }
+    decode_tile_into(view, base_exp, TileOut::Bf16(&mut out));
     out
 }
 
-/// Decompresses a whole [`TbeMatrix`] bit-exactly (LUT hot path).
+/// The AVX-512 decode core. The only code in the crate that carries a
+/// `#[target_feature]` or is `unsafe`; callers reach it through
+/// [`decode_tile_into`], which checks the CPU and the buffer lengths.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::TileOut;
+    use core::arch::x86_64::*;
+    use std::sync::OnceLock;
+
+    /// Whether this CPU has AVX-512 F, BW and VBMI2, detected on first use
+    /// and cached for the process.
+    pub(super) fn available() -> bool {
+        static AVAILABLE: OnceLock<bool> = OnceLock::new();
+        *AVAILABLE.get_or_init(|| {
+            is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512bw")
+                && is_x86_feature_detected!("avx512vbmi2")
+        })
+    }
+
+    /// Decodes one FragTile into `out`.
+    ///
+    /// Lane `p` of the expand-loads receives the buffer entry at the
+    /// popcount of the mask bits below `p` — Algorithm 2's dynamic
+    /// addressing for all lanes at once — and zero where its mask bit is
+    /// clear. The fallback `u16`s load as two 32-lane halves.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512 F, BW and VBMI2. With `ind` the OR of
+    /// the three bitmaps, `high_freq` must hold at least `ind.count_ones()`
+    /// bytes and `fallback` at least `64 - ind.count_ones()` values.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi2")]
+    pub(super) unsafe fn decode(
+        bitmaps: &[u64; 3],
+        high_freq: &[u8],
+        fallback: &[u16],
+        base_exp: u8,
+        out: TileOut<'_>,
+    ) {
+        let [b0, b1, b2] = *bitmaps;
+        let ind = b0 | b1 | b2;
+        let packed = _mm512_maskz_expandloadu_epi8(ind, high_freq.as_ptr().cast());
+        let fb_mask = [!ind as u32, (!ind >> 32) as u32];
+        let fb_lo = _mm512_maskz_expandloadu_epi16(fb_mask[0], fallback.as_ptr().cast());
+        let fb_hi = _mm512_maskz_expandloadu_epi16(
+            fb_mask[1],
+            fallback
+                .as_ptr()
+                .add(fb_mask[0].count_ones() as usize)
+                .cast(),
+        );
+
+        // code = B1 | B2 << 1 | B3 << 2 per byte lane, exponent = base + code
+        // (saturating, the module's exponent contract).
+        let code = _mm512_or_si512(
+            _mm512_maskz_mov_epi8(b0, _mm512_set1_epi8(1)),
+            _mm512_or_si512(
+                _mm512_maskz_mov_epi8(b1, _mm512_set1_epi8(2)),
+                _mm512_maskz_mov_epi8(b2, _mm512_set1_epi8(4)),
+            ),
+        );
+        let exp = _mm512_adds_epu8(_mm512_set1_epi8(base_exp as i8), code);
+
+        // BF16 = sign << 15 | exp << 7 | mantissa, in two 32-lane halves,
+        // blended with the fallback values along the indicator.
+        let half = |p8: __m256i, e8: __m256i, fb: __m512i, mask: u32| {
+            let p = _mm512_cvtepu8_epi16(p8);
+            let e = _mm512_cvtepu8_epi16(e8);
+            let hf = _mm512_or_si512(
+                _mm512_slli_epi16::<8>(_mm512_and_si512(p, _mm512_set1_epi16(0x80))),
+                _mm512_or_si512(
+                    _mm512_slli_epi16::<7>(e),
+                    _mm512_and_si512(p, _mm512_set1_epi16(0x7F)),
+                ),
+            );
+            _mm512_mask_blend_epi16(mask, fb, hf)
+        };
+        let bits = [
+            half(
+                _mm512_castsi512_si256(packed),
+                _mm512_castsi512_si256(exp),
+                fb_lo,
+                ind as u32,
+            ),
+            half(
+                _mm512_extracti64x4_epi64::<1>(packed),
+                _mm512_extracti64x4_epi64::<1>(exp),
+                fb_hi,
+                (ind >> 32) as u32,
+            ),
+        ];
+
+        match out {
+            TileOut::Bf16(out) => {
+                let dst = out.as_mut_ptr().cast::<__m512i>();
+                _mm512_storeu_si512(dst, bits[0]);
+                _mm512_storeu_si512(dst.add(1), bits[1]);
+            }
+            TileOut::F32(out) => {
+                let dst = out.as_mut_ptr().cast::<__m512i>();
+                for (h, &b) in bits.iter().enumerate() {
+                    let lo = _mm512_cvtepu16_epi32(_mm512_castsi512_si256(b));
+                    let hi = _mm512_cvtepu16_epi32(_mm512_extracti64x4_epi64::<1>(b));
+                    _mm512_storeu_si512(dst.add(2 * h), _mm512_slli_epi32::<16>(lo));
+                    _mm512_storeu_si512(dst.add(2 * h + 1), _mm512_slli_epi32::<16>(hi));
+                }
+            }
+        }
+    }
+}
+
+/// Decompresses a whole [`TbeMatrix`] bit-exactly on the host's
+/// [`decode_tile_simd`] path.
 pub fn decompress(tbe: &TbeMatrix) -> Matrix<Bf16> {
     let mut out = Matrix::zeros(tbe.rows(), tbe.cols());
-    let blocks = block_sequence(tbe.rows(), tbe.cols());
-    let mut seq = 0usize;
-    for block in &blocks {
-        for &(tr, tc) in block {
-            let tile = decode_tile_lut(tbe.tile_view(seq), tbe.base_exp());
+    for tr in 0..tbe.rows() / FRAG_DIM {
+        for tc in 0..tbe.cols() / FRAG_DIM {
+            let tile = decode_tile_simd(tbe.tile_view(tbe.tile_seq(tr, tc)), tbe.base_exp());
             out.set_tile(tr, tc, &tile);
-            seq += 1;
         }
     }
     out
@@ -290,8 +407,8 @@ pub enum DecodePath {
     /// The branchy per-lane Algorithm-2 decode (bit-exactness reference).
     #[default]
     Lanewise,
-    /// The table-driven window decode ([`SPREAD`]/[`PREFIX`] reads replace
-    /// per-element popcount and plane-extract logic).
+    /// The table-driven window decode (bit-spread and prefix-popcount table
+    /// reads replace per-element popcount and plane-extract logic).
     Lut,
 }
 
@@ -332,7 +449,7 @@ impl DecodeCost {
 
     /// The per-element cost of the table-driven decode path.
     ///
-    /// The SPREAD/PREFIX tables absorb the popcount and the plane-extract
+    /// The bit-spread and prefix-popcount tables absorb the popcount and the plane-extract
     /// LOP3/shift pairs: what remains per element is one LOP3 (BF16
     /// assembly), two IADD (index base + implicit lookup), one shift
     /// (nibble extract) and the path select — 5 scalar ops instead of 9.
@@ -437,13 +554,11 @@ mod tests {
     }
 
     #[test]
-    fn spread_and_prefix_tables_are_consistent() {
+    fn spread_table_is_consistent() {
         for b in [0usize, 1, 0x55, 0x80, 0xFF, 0xA3] {
             let spread = SPREAD[b];
             for j in 0..8 {
                 assert_eq!((spread >> (8 * j)) & 0xFF, ((b >> j) & 1) as u64);
-                let expect = (b & ((1usize << j) - 1)).count_ones();
-                assert_eq!((PREFIX[b] >> (4 * j)) & 0xF, expect, "b={b:#x} j={j}");
             }
         }
     }
@@ -563,6 +678,50 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "out of range for slice")]
+    fn simd_decode_rejects_undersized_high_freq() {
+        // 64 high-frequency elements demanded, 63 supplied: the decode must
+        // panic before any expand-load could read past the slice.
+        let bitmaps = [u64::MAX, 0, 0];
+        let high_freq = [0u8; 63];
+        let view = TileView {
+            bitmaps: &bitmaps,
+            high_freq: &high_freq,
+            fallback: &[],
+        };
+        let _ = decode_tile_simd(view, 120);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for slice")]
+    fn simd_decode_rejects_undersized_fallback() {
+        // One high-frequency element, so 63 fallback values demanded; only
+        // 40 supplied (short in the upper 32-lane half).
+        let bitmaps = [1, 0, 0];
+        let fallback = [0x3F80u16; 40];
+        let view = TileView {
+            bitmaps: &bitmaps,
+            high_freq: &[7],
+            fallback: &fallback,
+        };
+        let _ = decode_tile_simd(view, 120);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for slice")]
+    fn lut_decode_rejects_undersized_all_fallback_tile() {
+        // The all-fallback fast path used to zip over the short buffer and
+        // leave the missing elements zero instead of panicking.
+        let fallback = [0x3F80u16; 10];
+        let view = TileView {
+            bitmaps: &[0; 3],
+            high_freq: &[],
+            fallback: &fallback,
+        };
+        let _ = decode_tile_lut(view, 120);
+    }
+
+    #[test]
     fn full_matrix_decompress_is_bit_exact() {
         let w = WeightGen::new(0.018).seed(21).matrix(192, 320);
         let tbe = TbeCompressor::new().compress(&w).unwrap();
@@ -601,7 +760,7 @@ mod tests {
         assert!(c.popc == 1 && c.lds_per_tile == 5);
         let l = DecodeCost::TCA_TBE_LUT;
         assert_eq!(l.ops_per_element(), 5);
-        assert!(l.popc == 0, "popcount is absorbed by the PREFIX table");
+        assert!(l.popc == 0, "popcount is absorbed by the prefix table");
         assert_eq!(l.lds_per_tile, 37, "4 table reads x 8 windows + baseline 5");
         assert_eq!(DecodeCost::for_path(DecodePath::Lanewise), c);
         assert_eq!(DecodeCost::for_path(DecodePath::Lut), l);

@@ -158,6 +158,22 @@ pub struct TbeMatrix {
     /// Cached per-tile offsets (derived, not counted as storage).
     #[serde(skip)]
     tile_offsets: Vec<(u32, u32)>,
+    /// Cached grid → sequence map: entry `tr * (cols / 8) + tc` is the
+    /// sequence index of FragTile `(tr, tc)` (derived, not counted as
+    /// storage).
+    #[serde(skip)]
+    tile_grid: Vec<u32>,
+}
+
+/// The grid → sequence map of a `rows × cols` matrix (see
+/// [`TbeMatrix::tile_seq`]).
+fn tile_grid(rows: usize, cols: usize) -> Vec<u32> {
+    let tiles_c = cols / FRAG_DIM;
+    let mut grid = vec![0u32; (rows / FRAG_DIM) * tiles_c];
+    for (seq, &(tr, tc)) in tile_sequence(rows, cols).iter().enumerate() {
+        grid[tr * tiles_c + tc] = seq as u32;
+    }
+    grid
 }
 
 impl TbeMatrix {
@@ -209,11 +225,12 @@ impl TbeMatrix {
             block_offsets,
             tiles_per_block,
             tile_offsets,
+            tile_grid: tile_grid(rows, cols),
         }
     }
 
-    /// Recomputes the derived per-tile offset cache (e.g., after
-    /// deserialization, where it is skipped).
+    /// Recomputes the derived caches — per-tile offsets and the grid →
+    /// sequence map — e.g. after deserialization, where they are skipped.
     pub fn rebuild_offsets(&mut self) {
         let mut tile_offsets = Vec::with_capacity(self.bitmaps.len());
         let mut seq = 0usize;
@@ -230,6 +247,7 @@ impl TbeMatrix {
             }
         }
         self.tile_offsets = tile_offsets;
+        self.tile_grid = tile_grid(self.rows, self.cols);
     }
 
     /// Number of rows of the original matrix.
@@ -273,6 +291,19 @@ impl TbeMatrix {
             high_freq: &self.high_freq[hf as usize..hf as usize + n_hf],
             fallback: &self.fallback[fb as usize..fb as usize + n_fb],
         }
+    }
+
+    /// Sequence index of the FragTile at grid position `(tr, tc)` — the
+    /// argument [`TbeMatrix::tile_view`] takes. A lookup in a map built once
+    /// per matrix, next to the offset cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache is missing (call [`TbeMatrix::rebuild_offsets`]
+    /// after deserializing). `tc` must be below `cols / 8`.
+    #[inline]
+    pub(crate) fn tile_seq(&self, tr: usize, tc: usize) -> usize {
+        self.tile_grid[tr * (self.cols / FRAG_DIM) + tc] as usize
     }
 
     /// Storage statistics.
@@ -356,6 +387,7 @@ impl TbeMatrix {
             block_offsets: blocks.iter().map(|&(o, _)| o).collect(),
             tiles_per_block: blocks.iter().map(|&(_, t)| t).collect(),
             tile_offsets: Vec::new(),
+            tile_grid: Vec::new(),
         };
         m.rebuild_offsets();
         // Verify the last tile's slice stays in bounds.
@@ -385,6 +417,18 @@ mod tests {
             for &(tr, tc) in &seq {
                 assert!(tr < rows / 8 && tc < cols / 8);
                 assert!(seen.insert((tr, tc)), "duplicate tile ({tr},{tc})");
+            }
+        }
+    }
+
+    #[test]
+    fn tile_seq_inverts_the_sequence_on_ragged_shapes() {
+        for (rows, cols) in [(8, 8), (72, 88), (136, 200)] {
+            let m = crate::TbeCompressor::new()
+                .compress(&Matrix::zeros(rows, cols))
+                .expect("tileable");
+            for (seq, &(tr, tc)) in tile_sequence(rows, cols).iter().enumerate() {
+                assert_eq!(m.tile_seq(tr, tc), seq, "{rows}x{cols} ({tr},{tc})");
             }
         }
     }

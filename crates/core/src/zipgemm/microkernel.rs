@@ -5,16 +5,13 @@
 //! naive reference ([`crate::ZipGemm::multiply_reference`]) all build on the
 //! pieces here, so the accumulation contract lives in exactly one place:
 //!
-//! * [`SeqMap`] — the FragTile-grid → hierarchical-sequence lookup that used
-//!   to be copy-pasted between the serial and parallel paths;
 //! * [`ActPanel`] — the activation matrix pre-converted to `f32` once per
 //!   pass (instead of once per output row that consumes it);
-//! * [`decode_tile_f32`] — the per-tile decode cache: one table-driven
-//!   (LUT) decode plus one BF16→f32 widening per FragTile per pass, reused
-//!   across every `N`-block that consumes the tile;
 //! * [`compute_strip`] — the register-blocked `FRAG_DIM × NB` panel kernel
 //!   that the serial path runs over the whole matrix and each parallel
-//!   worker runs over its strip of tile rows.
+//!   worker runs over its strip of tile rows. It decodes each FragTile
+//!   once per pass straight into an `f32` panel (the per-tile decode
+//!   cache) and reuses it across every `N`-block that consumes the tile.
 //!
 //! Every column block has a compile-time width. After the full `NB = 16`
 //! blocks, the remaining `n % 16` columns are covered by at most one block
@@ -23,6 +20,19 @@
 //! and a ragged `n` such as 10 runs as an 8-wide block then a 2-wide one;
 //! every FMA loop has a compile-time trip count.
 //!
+//! The panel decoder is chosen from the CPU's features, detected once per
+//! process: the AVX-512 VBMI2 expand-load core in `crate::decompress`
+//! writes each element's BF16 bits shifted left by 16 (the exact widening)
+//! straight into the panel; other hosts run the table-driven
+//! `decode_tile_lut` plus a widening loop. Only that decode core is
+//! compiled with `#[target_feature]`: the FMA blocks here stay at the
+//! crate's baseline target, because compiling the whole strip loop for
+//! AVX-512 made the full-width `block::<16>` passes slower: fig12's 64×64
+//! blocked pass ran 3–4× slower at N = 16 and N = 32 when tried.
+//!
+//! Tiles are found through [`TbeMatrix::tile_seq`], the grid → sequence
+//! map each matrix builds once when it is assembled or loaded.
+//!
 //! The bitwise contract (pinned by `tests/fused_correctness.rs`): every
 //! output element accumulates in FP32 in ascending-`k` order. Blocking over
 //! `N` (full or tail widths) and register-tiling the panel never reorders the
@@ -30,8 +40,8 @@
 //! ascending tile order, ascending lane order — so all three paths produce
 //! identical bits.
 
-use crate::decompress::decode_tile_lut;
-use crate::format::layout::{block_sequence, TbeMatrix};
+use crate::decompress::{decode_tile_into, TileOut};
+use crate::format::layout::TbeMatrix;
 use crate::format::{FRAG_DIM, FRAG_ELEMS};
 use zipserv_bf16::{Bf16, Matrix};
 
@@ -39,46 +49,6 @@ use zipserv_bf16::{Bf16, Matrix};
 /// accumulator lanes per tile row fill one 64-byte cache line and map onto
 /// four 128-bit (or two 256-bit) vector registers.
 pub(crate) const NB: usize = 16;
-
-/// Lookup from FragTile grid coordinates `(tr, tk)` to the hierarchical
-/// sequence index used by [`TbeMatrix::tile_view`].
-///
-/// Built once per pass and shared read-only by every worker; previously the
-/// construction was duplicated in the serial and parallel paths and could
-/// silently drift.
-pub(crate) struct SeqMap {
-    seq_of: Vec<usize>,
-    tiles_k: usize,
-}
-
-impl SeqMap {
-    /// Builds the lookup for an `m × k` weight matrix (multiples of
-    /// [`FRAG_DIM`]).
-    pub(crate) fn new(m: usize, k: usize) -> Self {
-        let tiles_k = k / FRAG_DIM;
-        let mut seq_of = vec![0usize; (m / FRAG_DIM) * tiles_k];
-        let mut seq = 0usize;
-        for block in &block_sequence(m, k) {
-            for &(tr, tc) in block {
-                seq_of[tr * tiles_k + tc] = seq;
-                seq += 1;
-            }
-        }
-        SeqMap { seq_of, tiles_k }
-    }
-
-    /// Sequence index of the FragTile at grid position `(tr, tk)`.
-    #[inline]
-    pub(crate) fn seq(&self, tr: usize, tk: usize) -> usize {
-        self.seq_of[tr * self.tiles_k + tk]
-    }
-
-    /// FragTiles along the reduction dimension.
-    #[inline]
-    pub(crate) fn tiles_k(&self) -> usize {
-        self.tiles_k
-    }
-}
 
 /// The activation matrix packed into a contiguous row-major `f32` panel.
 ///
@@ -110,24 +80,6 @@ impl ActPanel {
     pub(crate) fn row(&self, k: usize) -> &[f32] {
         &self.data[k * self.n..(k + 1) * self.n]
     }
-}
-
-/// Decodes one FragTile into an `f32` scratch panel — the per-tile decode
-/// cache. The decode and the BF16→f32 widening happen exactly once per tile
-/// per pass here; every `N`-block of the micro-kernel then reuses the
-/// cached panel instead of re-converting per FMA.
-///
-/// Selects the table-driven [`decode_tile_lut`] hot path; the lanewise
-/// decoder stays available as the bit-exactness reference (the two are
-/// pinned identical, so this selection cannot change output bits).
-#[inline]
-pub(crate) fn decode_tile_f32(w: &TbeMatrix, seq: usize) -> [f32; FRAG_ELEMS] {
-    let tile = decode_tile_lut(w.tile_view(seq), w.base_exp());
-    let mut out = [0f32; FRAG_ELEMS];
-    for (o, v) in out.iter_mut().zip(tile.iter()) {
-        *o = v.to_f32();
-    }
-    out
 }
 
 /// The register-blocked `FRAG_DIM × W` micro-kernel: for each of the tile's
@@ -211,7 +163,6 @@ fn column(
 /// assigned past the end of the tile rows) — are no-ops.
 pub(crate) fn compute_strip(
     w: &TbeMatrix,
-    seq: &SeqMap,
     x: &ActPanel,
     start_tr: usize,
     end_tr: usize,
@@ -224,10 +175,12 @@ pub(crate) fn compute_strip(
     debug_assert_eq!(out.len(), (end_tr - start_tr) * FRAG_DIM * n);
     let full = n - n % NB;
     let tail = n % NB;
+    let mut wf = [0f32; FRAG_ELEMS];
     for tr in start_tr..end_tr {
         let row0 = (tr - start_tr) * FRAG_DIM;
-        for tk in 0..seq.tiles_k() {
-            let wf = decode_tile_f32(w, seq.seq(tr, tk));
+        for tk in 0..w.cols() / FRAG_DIM {
+            let view = w.tile_view(w.tile_seq(tr, tk));
+            decode_tile_into(view, w.base_exp(), TileOut::F32(&mut wf));
             let k0 = tk * FRAG_DIM;
             for col0 in (0..full).step_by(NB) {
                 block::<NB>(&wf, x, k0, out, n, row0, col0);
@@ -248,6 +201,77 @@ pub(crate) fn compute_strip(
             if tail & 1 != 0 {
                 column(&wf, x, k0, out, n, row0, col0);
             }
+        }
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use super::*;
+    use crate::compress::TbeCompressor;
+    use crate::decompress::{decode_tile_lanewise, decode_tile_lut_into, host_decode_path};
+    use crate::format::layout::TileView;
+    use crate::format::tile::EncodedTile;
+    use zipserv_bf16::gen::WeightGen;
+
+    /// Both panel decoders against the widened lanewise reference, bit for
+    /// bit. The hardware one only runs where the CPU has it, so the
+    /// portable one stays tested on hosts where ZipGEMM never selects it.
+    fn assert_panels_match(view: TileView<'_>, base: u8, what: &str) {
+        let expect = decode_tile_lanewise(view, base).map(|v| v.to_f32().to_bits());
+        let mut lut = [f32::NAN; FRAG_ELEMS];
+        decode_tile_lut_into(view, base, TileOut::F32(&mut lut));
+        assert_eq!(lut.map(f32::to_bits), expect, "lut panel, {what}");
+        if host_decode_path() == "avx512vbmi2" {
+            let mut hw = [f32::NAN; FRAG_ELEMS];
+            decode_tile_into(view, base, TileOut::F32(&mut hw));
+            assert_eq!(hw.map(f32::to_bits), expect, "avx512 panel, {what}");
+        }
+    }
+
+    #[test]
+    fn panel_decoders_match_widened_lanewise_on_every_tile() {
+        let w = WeightGen::new(0.02)
+            .seed(51)
+            .outliers(0.2, 40.0)
+            .matrix(136, 200);
+        let tbe = TbeCompressor::new().compress(&w).unwrap();
+        for seq in 0..tbe.tile_count() {
+            assert_panels_match(tbe.tile_view(seq), tbe.base_exp(), &format!("tile {seq}"));
+        }
+    }
+
+    #[test]
+    fn panel_decoders_match_on_hand_built_tiles() {
+        let check = |tile: &[Bf16; 64], base: u8, what: &str| {
+            let enc = EncodedTile::encode(tile, base);
+            let view = TileView {
+                bitmaps: &enc.bitmaps,
+                high_freq: &enc.high_freq,
+                fallback: &enc.fallback,
+            };
+            assert_panels_match(view, base, what);
+            enc.indicator()
+        };
+        // All-fallback: every value outside the exponent window.
+        let all_fb: [Bf16; 64] = core::array::from_fn(|i| Bf16::from_f32(1.0 + i as f32));
+        assert_eq!(check(&all_fb, 200, "all-fallback"), 0);
+        // All-high-frequency, every codeword and both signs.
+        let all_hf: [Bf16; 64] = core::array::from_fn(|i| {
+            Bf16::from_parts(
+                (i % 2) as u16,
+                124 + (i % 7) as u16,
+                ((i * 2) & 0x7F) as u16,
+            )
+        });
+        assert_eq!(check(&all_hf, 123, "all-high-freq"), u64::MAX);
+        // One high-frequency element at each position, fallback elsewhere.
+        for pos in 0..FRAG_ELEMS {
+            let mut tile = [Bf16::from_f32(-1e30); 64];
+            tile[pos] = Bf16::from_parts(1, 125, 0x11);
+            let indicator = check(&tile, 123, &format!("single at {pos}"));
+            assert_eq!(indicator, 1 << pos);
         }
     }
 }

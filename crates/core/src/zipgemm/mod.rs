@@ -24,7 +24,7 @@ mod microkernel;
 use crate::decompress::{decode_tile_lanewise, DecodeCost, DecodePath};
 use crate::format::layout::TbeMatrix;
 use crate::format::{FRAG_DIM, FRAG_ELEMS};
-use microkernel::{compute_strip, ActPanel, SeqMap};
+use microkernel::{compute_strip, ActPanel};
 use zipserv_bf16::{Bf16, Matrix};
 use zipserv_gpu_sim::instr::{InstrKind, InstrMix};
 use zipserv_gpu_sim::kernel::{ExecutionMode, KernelProfile};
@@ -80,14 +80,13 @@ impl ZipGemm {
     /// Panics if `x.rows() != w.cols()`.
     pub fn multiply(&self, w: &TbeMatrix, x: &Matrix<Bf16>) -> Matrix<f32> {
         assert_eq!(x.rows(), w.cols(), "activation rows must match weight cols");
-        let (m, k, n) = (w.rows(), w.cols(), x.cols());
+        let (m, n) = (w.rows(), x.cols());
         let mut y = Matrix::<f32>::zeros(m, n);
         if m == 0 || n == 0 {
             return y;
         }
-        let seq = SeqMap::new(m, k);
         let x = ActPanel::pack(x);
-        compute_strip(w, &seq, &x, 0, m / FRAG_DIM, y.as_mut_slice());
+        compute_strip(w, &x, 0, m / FRAG_DIM, y.as_mut_slice());
         y
     }
 
@@ -106,15 +105,14 @@ impl ZipGemm {
         assert_eq!(x.rows(), w.cols(), "activation rows must match weight cols");
         let (m, k, n) = (w.rows(), w.cols(), x.cols());
         let mut y = Matrix::<f32>::zeros(m, n);
-        let seq = SeqMap::new(m, k);
         // Hoisted: one widening per activation element, not one per use.
         let xf = ActPanel::pack(x);
 
         for tr in 0..m / FRAG_DIM {
-            for tk in 0..seq.tiles_k() {
+            for tk in 0..k / FRAG_DIM {
                 // "Load compressed, compute decompressed": the tile lives
                 // only in this stack frame (the register file).
-                let tile = decode_tile_lanewise(w.tile_view(seq.seq(tr, tk)), w.base_exp());
+                let tile = decode_tile_lanewise(w.tile_view(w.tile_seq(tr, tk)), w.base_exp());
                 for local_r in 0..FRAG_DIM {
                     let row = tr * FRAG_DIM + local_r;
                     for col in 0..n {
@@ -159,17 +157,16 @@ impl ZipGemm {
     ) -> Matrix<f32> {
         assert!(threads > 0, "need at least one thread");
         assert_eq!(x.rows(), w.cols(), "activation rows must match weight cols");
-        let (m, k, n) = (w.rows(), w.cols(), x.cols());
+        let (m, n) = (w.rows(), x.cols());
         let tile_rows = m / FRAG_DIM;
         let workers = threads.min(tile_rows).max(1);
         if workers == 1 || n == 0 {
             return self.multiply(w, x);
         }
 
-        // Sequence lookup and activation panel, shared read-only.
-        let seq = SeqMap::new(m, k);
+        // Activation panel, shared read-only.
         let panel = ActPanel::pack(x);
-        let (seq, panel) = (&seq, &panel);
+        let panel = &panel;
 
         let chunk = tile_rows.div_ceil(workers);
         let mut strips: Vec<(usize, Vec<f32>)> = Vec::new();
@@ -184,7 +181,7 @@ impl ZipGemm {
                     scope.spawn(move |_| {
                         let rows = (end_tr - start_tr) * FRAG_DIM;
                         let mut local = vec![0f32; rows * n];
-                        compute_strip(w, seq, panel, start_tr, end_tr, &mut local);
+                        compute_strip(w, panel, start_tr, end_tr, &mut local);
                         (start_tr, local)
                     })
                 })

@@ -456,7 +456,15 @@ impl Trace {
                 let bad = |what: &str| err(line_no, format!("bad {what} {value:?}"));
                 match key {
                     "id" => id = Some(value.parse::<u64>().map_err(|_| bad("id"))?),
-                    "t" => t = Some(value.parse::<f64>().map_err(|_| bad("t"))?),
+                    "t" => {
+                        let v = value.parse::<f64>().map_err(|_| bad("t"))?;
+                        // An arrival time must be a finite instant at or
+                        // after the trace start.
+                        if !(v.is_finite() && v >= 0.0) {
+                            return Err(bad("t"));
+                        }
+                        t = Some(v);
+                    }
                     "prompt" => prompt = Some(value.parse::<u64>().map_err(|_| bad("prompt"))?),
                     "output" => output = Some(value.parse::<u64>().map_err(|_| bad("output"))?),
                     "class" => {
@@ -499,6 +507,14 @@ impl Trace {
                 req = req.with_tenant(tenant);
             }
             if let Some((hash, len)) = prefix {
+                // A shared prefix longer than the prompt cannot be replayed
+                // faithfully (`with_shared_prefix` would clamp it).
+                if len > req.prompt_len {
+                    return Err(err(
+                        line_no,
+                        format!("prefix length {len} exceeds prompt {}", req.prompt_len),
+                    ));
+                }
                 req = req.with_shared_prefix(hash, len);
             }
             out.push(req);
@@ -712,5 +728,46 @@ mod tests {
         let reqs = Trace::replay(&commented).expect("comments skipped");
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].id, 7);
+    }
+
+    #[test]
+    fn trace_rejects_non_finite_arrival_time() {
+        for t in ["NaN", "inf", "-inf"] {
+            let text = format!(
+                "{}\nid=0 t=0 prompt=1 output=1\nid=1 t={t} prompt=1 output=1",
+                Trace::HEADER
+            );
+            let e = Trace::replay(&text).unwrap_err();
+            assert_eq!(e.line, 3, "t={t}");
+            assert!(e.msg.contains("bad t"), "t={t}: {}", e.msg);
+        }
+    }
+
+    #[test]
+    fn trace_rejects_negative_arrival_time() {
+        let text = format!("{}\nid=0 t=-0.5 prompt=1 output=1", Trace::HEADER);
+        let e = Trace::replay(&text).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.msg.contains("bad t"), "{}", e.msg);
+        // Zero is the trace start, not an error.
+        let zero = format!("{}\nid=0 t=0 prompt=1 output=1", Trace::HEADER);
+        assert_eq!(Trace::replay(&zero).unwrap()[0].arrival_s, 0.0);
+    }
+
+    #[test]
+    fn trace_rejects_prefix_longer_than_prompt() {
+        let text = format!(
+            "{}\n\nid=0 t=1 prompt=64 output=8 prefix=ab:65",
+            Trace::HEADER
+        );
+        let e = Trace::replay(&text).unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.msg.contains("exceeds prompt 64"), "{}", e.msg);
+        // A prefix covering the whole prompt is fine.
+        let whole = format!(
+            "{}\nid=0 t=1 prompt=64 output=8 prefix=ab:64",
+            Trace::HEADER
+        );
+        assert_eq!(Trace::replay(&whole).unwrap()[0].prefix_len, 64);
     }
 }
